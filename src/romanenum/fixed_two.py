@@ -12,11 +12,16 @@ stream of C(A); solvers exist for
 
 Emptiness of C is monotone downward in A (a nonempty superset forces a
 nonempty subset), which is what makes pruning in the engine sound.
+
+The mrdf, trdf and crdf solvers build one roman.TwoSetContext per 2-set.
+It holds the canonical positive set, N(A) and the private candidates of
+each member of A, so each candidate is tested as a positive-set mask against
+constants of A; a tuple is built only for a candidate that passes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Optional
 
 from .graphs import (
@@ -24,6 +29,7 @@ from .graphs import (
     IntervalModel,
     bit,
     bits,
+    is_dominating,
     mask_of,
     recognize_cobipartite,
     same_component,
@@ -32,16 +38,14 @@ from .graphs import (
 )
 from .roman import (
     RomanFunction,
+    TwoSetContext,
     UnsupportedRoute,
     Variant,
-    add_one,
     canonical_rdf,
+    function_from_masks,
     is_minimal_variant,
-    is_variant,
-    pos_mask,
     valid_two_set,
 )
-from .graphs import private_neighbors_within
 
 # when set, every solver re-checks each yielded function against the
 # minimality predicate (used by tests; off by default for speed)
@@ -106,21 +110,21 @@ class MrdfSolver(FixedTwoSolver):
         g = self.graph
         if not valid_two_set(g, a):
             return
-        f = canonical_rdf(g, a)
-        if is_variant(g, f, Variant.MRDF):
-            yield _checked(g, self.variant, f)
+        ctx = TwoSetContext(g, a, self.variant)
+        m0 = g.full & ~ctx.pos0
+        if not is_dominating(g, m0):
+            yield _checked(g, self.variant, function_from_masks(g.n, a, ctx.pos0))
             return
-        m0 = g.full & ~pos_mask(f)
         seen = set()
         for v in range(g.n):
             if a >> v & 1:
                 continue
-            cand = add_one(f, m0 & g.cadj[v])
-            if cand in seen:
+            pos = ctx.pos0 | (m0 & g.cadj[v])
+            if pos in seen:
                 continue
-            seen.add(cand)
-            if is_minimal_variant(g, cand, Variant.MRDF):
-                yield _checked(g, self.variant, cand)
+            seen.add(pos)
+            if ctx.minimal(pos):
+                yield _checked(g, self.variant, function_from_masks(g.n, a, pos))
 
     def cardinality_bound(self, n: int) -> int:
         return n
@@ -153,19 +157,13 @@ class CobipartiteSolver(FixedTwoSolver):
         g = self.graph
         if not valid_two_set(g, a):
             return
-        f = canonical_rdf(g, a)
-        if is_minimal_variant(g, f, self.variant):
-            yield _checked(g, self.variant, f)
-        zeros = list(bits(g.full & ~pos_mask(f)))
-        for v in zeros:
-            cand = add_one(f, bit(v))
-            if is_minimal_variant(g, cand, self.variant):
-                yield _checked(g, self.variant, cand)
-        for i, v in enumerate(zeros):
-            for u in zeros[i + 1 :]:
-                cand = add_one(f, bit(v) | bit(u))
-                if is_minimal_variant(g, cand, self.variant):
-                    yield _checked(g, self.variant, cand)
+        ctx = TwoSetContext(g, a, self.variant)
+        pos0 = ctx.pos0
+        zeros = [bit(v) for v in bits(g.full & ~pos0)]
+        raised = chain([0], zeros, (v | u for v, u in combinations(zeros, 2)))
+        for x in raised:
+            if ctx.minimal(pos0 | x):
+                yield _checked(g, self.variant, function_from_masks(g.n, a, pos0 | x))
 
     def cardinality_bound(self, n: int) -> int:
         return n * n + n + 1
@@ -175,9 +173,9 @@ class WindowTables:
     """Sliding-window membership tables for connected completions on an
     interval order.
 
-    Fix a 2-set a and let f be its canonical rdf.  A candidate set X of
-    0-vertices completes f to a minimal connected rdf exactly when, reading X
-    in interval order (left endpoint, right endpoint, index),
+    Fix a 2-set a and its context.  A candidate set X of 0-vertices of the
+    canonical rdf completes it to a minimal connected rdf exactly when,
+    reading X in interval order (left endpoint, right endpoint, index),
 
       - |X| <= 3: checked directly, or
       - |X| >= 4: the three smallest members pass the start test, the three
@@ -188,37 +186,22 @@ class WindowTables:
     not use up all private neighbors of any 2-vertex) with three connectivity
     probes on induced subgraphs: the window must connect its span, and
     dropping either middle element must break it.  s and t are the extremal
-    positive vertices of f; probes from them detect whether X reaches the
-    ends of the layout.
+    positive vertices of the canonical rdf; probes from them detect whether
+    X reaches the ends of the layout.
     """
 
-    def __init__(self, g: Graph, model: IntervalModel, a: int):
-        if len(model) != g.n:
-            raise ValueError("interval model size does not match the graph")
+    def __init__(self, g: Graph, model: IntervalModel, ctx: TwoSetContext):
         self.g = g
-        self.a = a
-        f = canonical_rdf(g, a)
-        self.base = f
-        self.base_pos = pos_mask(f)
-        self.v1 = self.base_pos & ~a
+        self.ctx = ctx
+        self.base_pos = ctx.pos0
         if self.base_pos == 0:
             raise ValueError("no positive vertex to anchor the window tests")
         iv = model.intervals
-        self.sort_key = lambda v: (iv[v][0], iv[v][1], v)
-        self.universe = sorted(bits(g.full & ~self.base_pos), key=self.sort_key)
-        self.s = min(bits(self.base_pos), key=self.sort_key)
+        self.s = min(bits(self.base_pos), key=lambda v: (iv[v][0], iv[v][1], v))
         self.t = max(bits(self.base_pos), key=lambda v: (iv[v][1], iv[v][0], v))
         self._start: dict = {}
         self._end: dict = {}
         self._middle: dict = {}
-
-    def _private_ok(self, removed: int) -> bool:
-        g = self.g
-        allowed = g.full & ~(self.v1 | removed)
-        for v in bits(self.a):
-            if not private_neighbors_within(g, allowed, self.a, v) & ~bit(v):
-                return False
-        return True
 
     def start_ok(self, x: int, y: int, z: int) -> bool:
         key = (x, y, z)
@@ -229,7 +212,7 @@ class WindowTables:
                 same_component(g, base | mask_of((x, y, z)), s, z)
                 and not same_component(g, base | mask_of((x, z)), s, z)
                 and not same_component(g, base | mask_of((y, z)), s, z)
-                and self._private_ok(mask_of((x, y, z)))
+                and self.ctx.private_ok(mask_of((x, y, z)))
             )
             self._start[key] = hit
         return hit
@@ -243,7 +226,7 @@ class WindowTables:
                 same_component(g, base | mask_of((x, y, z)), t, x)
                 and not same_component(g, base | mask_of((x, z)), t, x)
                 and not same_component(g, base | mask_of((x, y)), t, x)
-                and self._private_ok(mask_of((x, y, z)))
+                and self.ctx.private_ok(mask_of((x, y, z)))
             )
             self._end[key] = hit
         return hit
@@ -257,25 +240,56 @@ class WindowTables:
                 same_component(g, base | mask_of((w, x, y, z)), w, z)
                 and not same_component(g, base | mask_of((w, x, z)), w, z)
                 and not same_component(g, base | mask_of((w, y, z)), w, z)
-                and self._private_ok(mask_of((w, x, y, z)))
+                and self.ctx.private_ok(mask_of((w, x, y, z)))
             )
             self._middle[key] = hit
         return hit
 
 
-def build_window_tables(g: Graph, model: IntervalModel, a: int, validate: bool = True) -> WindowTables:
-    if validate and not validate_interval_model(g, model):
-        raise ValueError("interval model does not match the graph")
-    return WindowTables(g, model, a)
+def fewest_connectors(model: IntervalModel, pos: int, spare) -> Optional[int]:
+    """Fewest intervals from `spare` whose addition makes the union of the
+    intervals of `pos` one interval; None when no choice of them does.
+
+    `spare` lists vertices in order of left endpoint.  A set of intervals
+    induces a connected subgraph of the intersection graph iff its union has
+    no gap, so on a graph the model realises no raised set smaller than this
+    can make pos connected.  Greedy: at each gap, take the spare interval
+    that starts inside the covered prefix and reaches furthest right.
+    """
+    iv = model.intervals
+    spans = sorted(iv[v] for v in bits(pos))
+    if not spans:
+        return 0
+    reach = spans[0][1]
+    furthest = reach
+    i = count = 0
+    for lo, hi in spans[1:]:
+        while lo > reach:
+            while i < len(spare) and iv[spare[i]][0] <= reach:
+                furthest = max(furthest, iv[spare[i]][1])
+                i += 1
+            if furthest <= reach:
+                return None
+            reach = furthest
+            count += 1
+        reach = max(reach, hi)
+    return count
 
 
 class IntervalConnectedSolver(FixedTwoSolver):
     """Connected completions on interval graphs with polynomial delay.
 
-    Completion sets of size at most 3 are scanned directly.  Larger ones are
+    Per 2-set A, the solver first counts the fewest 0-vertex intervals that
+    close every gap in the union of the canonical positive set's intervals
+    (fewest_connectors); raised sets below that size cannot be connected and
+    are never tested.  The bound is used only when every edge of the graph
+    joins meeting intervals.  Completion sets of size at most 3 are then
+    scanned directly against the 2-set's TwoSetContext.  Larger ones are
     source-to-sink paths in a DAG whose nodes are window-passing triples;
     restricting the walk to nodes that can reach a sink keeps the delay
-    polynomial.
+    polynomial.  Both DAG walks use explicit stacks, so their depth, which
+    grows with the number of raised vertices, is not bounded by Python's
+    recursion limit.
     """
 
     graph_class = "interval"
@@ -283,26 +297,38 @@ class IntervalConnectedSolver(FixedTwoSolver):
 
     def __init__(self, g: Graph, model: IntervalModel, validate: bool = True):
         super().__init__(g)
+        if len(model) != g.n:
+            raise ValueError("interval model size does not match the graph")
         if validate and not validate_interval_model(g, model):
             raise ValueError("interval model does not match the graph")
         self.model = model
+        # the gap bound holds when every edge of g joins meeting intervals,
+        # as in any model that realises g; an edge between disjoint
+        # intervals can connect what the union of intervals leaves apart
+        iv = model.intervals
+        self.gap_bound = all(
+            max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1]) for u, v in g.edges()
+        )
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         g = self.graph
         if not valid_two_set(g, a):
             return
-        f = canonical_rdf(g, a)
+        ctx = TwoSetContext(g, a, self.variant)
         iv = self.model.intervals
-        universe = sorted(bits(g.full & ~pos_mask(f)), key=lambda v: (iv[v][0], iv[v][1], v))
-        for k in range(min(3, len(universe)) + 1):
+        universe = sorted(bits(g.full & ~ctx.pos0), key=lambda v: (iv[v][0], iv[v][1], v))
+        fewest = fewest_connectors(self.model, ctx.pos0, universe) if self.gap_bound else 0
+        if fewest is None:
+            return
+        for k in range(fewest, min(3, len(universe)) + 1):
             for combo in combinations(universe, k):
-                cand = add_one(f, mask_of(combo))
-                if is_minimal_variant(g, cand, Variant.CRDF):
-                    yield _checked(g, self.variant, cand)
+                pos = ctx.pos0 | mask_of(combo)
+                if ctx.minimal(pos):
+                    yield _checked(g, self.variant, function_from_masks(g.n, a, pos))
         if len(universe) >= 4:
-            yield from self._large_stream(f, universe, WindowTables(g, self.model, a))
+            yield from self._large_stream(ctx, universe, WindowTables(g, self.model, ctx))
 
-    def _large_stream(self, f, universe, tables) -> Iterator[RomanFunction]:
+    def _large_stream(self, ctx, universe, tables) -> Iterator[RomanFunction]:
         g = self.graph
         m = len(universe)
         succ_memo: dict = {}
@@ -324,29 +350,51 @@ class IntervalConnectedSolver(FixedTwoSolver):
             i, j, k = node
             return tables.end_ok(universe[i], universe[j], universe[k])
 
-        def reaches_sink(node):
-            got = reach_memo.get(node)
-            if got is None:
-                reach_memo[node] = got = is_sink(node) or any(
-                    reaches_sink(nxt) for nxt in successors(node)
-                )
-            return got
+        def reaches_sink(root):
+            # depth-first with explicit stacks: the first sink found answers
+            # True for every open node, a node whose successors all fail
+            # answers False
+            open_nodes = []
+            todo = [iter((root,))]
+            while todo:
+                for node in todo[-1]:
+                    got = reach_memo.get(node)
+                    if got is None and not is_sink(node):
+                        open_nodes.append(node)
+                        todo.append(iter(successors(node)))
+                        break
+                    if got is not False:
+                        for done in open_nodes + [node]:
+                            reach_memo[done] = True
+                        return True
+                else:
+                    todo.pop()
+                    if open_nodes:
+                        reach_memo[open_nodes.pop()] = False
+            return False
 
-        def walk(path):
-            node = path[-1]
-            if len(path) >= 2 and is_sink(node):
-                chosen = mask_of(universe[i] for i in path[0]) | mask_of(
-                    universe[p[2]] for p in path[1:]
-                )
-                yield _checked(g, self.variant, add_one(f, chosen))
-            for nxt in successors(node):
-                if reaches_sink(nxt):
-                    yield from walk(path + [nxt])
+        def walk(start):
+            # every source-to-sink path from start, in successor order; a
+            # path is output when it ends in a sink, then extended further
+            raised = [ctx.pos0 | mask_of(universe[i] for i in start)]
+            todo = [iter(successors(start))]
+            while todo:
+                for nxt in todo[-1]:
+                    if reaches_sink(nxt):
+                        pos = raised[-1] | bit(universe[nxt[2]])
+                        if is_sink(nxt):
+                            yield _checked(g, self.variant, function_from_masks(g.n, ctx.a, pos))
+                        raised.append(pos)
+                        todo.append(iter(successors(nxt)))
+                        break
+                else:
+                    raised.pop()
+                    todo.pop()
 
         for node in combinations(range(m), 3):
             i, j, k = node
             if tables.start_ok(universe[i], universe[j], universe[k]) and reaches_sink(node):
-                yield from walk([node])
+                yield from walk(node)
 
     def cardinality_bound(self, n: int) -> Optional[int]:
         return None
@@ -400,19 +448,3 @@ def solver_for(
             )
         raise UnsupportedRoute(f"no crdf solver for class {class_hint}")
     raise UnsupportedRoute(f"no enumeration solver for variant {variant.value}")
-
-
-def rdf_fixed_two(g: Graph, a: int) -> list:
-    return list(RdfSolver(g).stream(a))
-
-
-def mrdf_fixed_two(g: Graph, a: int) -> list:
-    return list(MrdfSolver(g).stream(a))
-
-
-def cobipartite_fixed_two(g: Graph, variant: Variant, a: int, part=None) -> list:
-    return list(CobipartiteSolver(g, variant, part).stream(a))
-
-
-def interval_crdf_fixed_two(g: Graph, model: IntervalModel, a: int, validate: bool = True) -> list:
-    return list(IntervalConnectedSolver(g, model, validate=validate).stream(a))

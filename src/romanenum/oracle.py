@@ -5,14 +5,15 @@ sets and tiny SAT by brute force.  Everything here exists to check the
 polynomial-delay algorithms, so it deliberately avoids their theory: variant
 membership is evaluated from the definitions and minimality by comparing
 holders pointwise.
+
+numpy is imported inside the functions that use it, so importing the
+package (and the command-line front end) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .graphs import Graph, bit, bits
 from .roman import Variant, two_mask
@@ -29,6 +30,8 @@ def _digit_tables(n: int):
 
     Function index i has digit (i // 3**v) % 3 at vertex v.
     """
+    import numpy as np
+
     total = 3**n
     idx = np.arange(total, dtype=np.int64)
     pos = np.zeros(total, dtype=np.int64)
@@ -46,6 +49,8 @@ def _digit_tables(n: int):
 
 def _neighborhood_union(rows, member_bits, n):
     """Union of the rows selected by each function's member bits."""
+    import numpy as np
+
     acc = np.zeros_like(member_bits)
     for v in range(n):
         acc |= ((member_bits >> v) & 1) * rows[v]
@@ -53,6 +58,8 @@ def _neighborhood_union(rows, member_bits, n):
 
 
 def _variant_flags(g: Graph, variant: Variant, pos, m2):
+    import numpy as np
+
     n = g.n
     full = g.full
     adj = [np.int64(g.adj[v]) for v in range(n)]
@@ -90,6 +97,8 @@ def _variant_flags(g: Graph, variant: Variant, pos, m2):
 
 def _minimal_function_indices(flags, pos, m2, wt, n: int):
     """Indices of the pointwise-minimal holders among all flagged functions."""
+    import numpy as np
+
     idx = np.flatnonzero(flags)
     if len(idx) == 0:
         return idx
@@ -120,6 +129,8 @@ def _minimal_function_indices(flags, pos, m2, wt, n: int):
 
 
 def _tuples_for_indices(indices, n: int) -> list[tuple]:
+    import numpy as np
+
     if len(indices) == 0:
         return []
     powers = 3 ** np.arange(n, dtype=np.int64)
@@ -143,6 +154,8 @@ def oracle_all_minimal(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> se
 
 def property_holders(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> list[tuple]:
     """Every function with the property, in index order."""
+    import numpy as np
+
     _check_cap(g, cap)
     pos, m2, wt = _digit_tables(g.n)
     flags = _variant_flags(g, variant, pos, m2)

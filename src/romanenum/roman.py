@@ -24,7 +24,6 @@ from .graphs import (
     is_connected_set,
     is_dominating,
     open_neighborhood,
-    private_neighbors_within,
 )
 
 
@@ -166,11 +165,91 @@ def valid_two_set(g: Graph, a: int) -> bool:
     return True
 
 
-def _has_external_private(g: Graph, f_pos: int, f_two: int, v: int) -> bool:
-    # private neighbor besides v itself, inside G[V0 union V2]
-    allowed = (g.full & ~f_pos) | f_two
-    priv = private_neighbors_within(g, allowed, f_two, v)
-    return bool(priv & ~bit(v))
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def function_from_masks(n: int, two: int, pos: int) -> RomanFunction:
+    """The function on n vertices with 2-set `two` and positive set `pos`
+    (`two` must lie inside `pos`)."""
+    # one byte per vertex, 0 or 1, for each mask; added as big integers the
+    # bytes hold the values, and no byte exceeds 2, so nothing carries
+    p = int.from_bytes(f"{pos:0{n}b}".encode().translate(_BIT_BYTES), "big")
+    t = int.from_bytes(f"{two:0{n}b}".encode().translate(_BIT_BYTES), "big")
+    return tuple((p + t).to_bytes(n, "little"))
+
+
+class TwoSetContext:
+    """What the minimality test needs to know about one 2-set A, computed once.
+
+    Every function with 2-set A is given by its positive set pos, a superset
+    of A.  The context holds
+
+      pos0     the canonical positive set A + (V - N[A]); every completion of
+               A raises some 0-vertices of it, so pos0 <= pos
+      nbr      N(A), the vertices that may take value 0
+      private  for each v in A, its private candidates N[v] - N[A - v] - {v};
+               they all lie outside pos0, and v keeps an external private
+               neighbor exactly when one of them stays 0
+
+    and `minimal(pos)` decides minimality for the mrdf, trdf or crdf variant.
+    """
+
+    __slots__ = ("g", "a", "variant", "pos0", "nbr", "private")
+
+    def __init__(self, g: Graph, a: int, variant: Variant):
+        once = twice = nbr = 0
+        for v in bits(a):
+            twice |= once & g.cadj[v]
+            once |= g.cadj[v]
+            nbr |= g.adj[v]
+        alone = once & ~twice  # covered by exactly one member of a
+        self.g = g
+        self.a = a
+        self.variant = variant
+        self.pos0 = a | (g.full & ~once)
+        self.nbr = nbr
+        self.private = {v: g.cadj[v] & alone & ~bit(v) for v in bits(a)}
+
+    def private_ok(self, pos: int) -> bool:
+        """Every member of A keeps a private candidate outside pos."""
+        for p in self.private.values():
+            if not p & ~pos:
+                return False
+        return True
+
+    def minimal(self, pos: int) -> bool:
+        """Is the function with 2-set A and positive set pos a minimal
+        function of the context's variant?
+
+        Besides the property itself, no 2-vertex may lose all its external
+        private neighbors, and no 1-vertex next to A may be droppable; a
+        1-vertex outside N(A) cannot be dropped to 0 at all.
+        """
+        g, a = self.g, self.a
+        if g.full & ~pos & ~self.nbr or not self.private_ok(pos):
+            return False
+        ones = pos & ~a & self.nbr
+        if self.variant is Variant.MRDF:
+            undominated = g.full & ~closed_neighborhood(g, g.full & ~pos)
+            if not undominated:
+                return False
+            return all(not undominated & ~g.cadj[v] for v in bits(ones))
+        if self.variant is Variant.TRDF:
+            # dropping v must isolate some positive vertex, i.e. a vertex
+            # whose only positive neighbor is v
+            needed = 0
+            for u in bits(pos):
+                nb = g.adj[u] & pos
+                if not nb:
+                    return False
+                if not nb & (nb - 1):
+                    needed |= nb
+            return not ones & ~needed
+        if self.variant is Variant.CRDF:
+            if not is_connected_set(g, pos):
+                return False
+            return not any(is_connected_set(g, pos & ~bit(v)) for v in bits(ones))
+        raise ValueError(f"no minimality context for {self.variant}")
 
 
 def is_minimal_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
@@ -178,46 +257,17 @@ def is_minimal_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
 
     rdf minimality goes through the 2-set bijection; the other variants use
     their per-vertex characterizations (no 1-vertex can be dropped without a
-    structural reason, every 2-vertex keeps an external private neighbor).
+    structural reason, every 2-vertex keeps an external private neighbor),
+    evaluated by TwoSetContext.
     """
     if variant is Variant.PRDF:
         raise UnsupportedRoute("no minimality characterization for prdf")
+    a = two_mask(f)
     if variant is Variant.RDF:
-        a = two_mask(f)
         return valid_two_set(g, a) and f == canonical_rdf(g, a)
-    if not is_variant(g, f, variant):
-        return False
-    pos = pos_mask(f)
-    m2 = two_mask(f)
-    m1 = pos & ~m2
-    for v in bits(m2):
-        if not _has_external_private(g, pos, m2, v):
-            return False
-    if variant is Variant.MRDF:
-        m0 = g.full & ~pos
-        undominated = g.full & ~closed_neighborhood(g, m0)
-        for v in bits(m1):
-            if not g.adj[v] & m2:
-                continue
-            if undominated & ~g.cadj[v]:
-                return False
-        return True
-    if variant is Variant.TRDF:
-        for v in bits(m1):
-            if not g.adj[v] & m2:
-                continue
-            rest = pos & ~bit(v)
-            if not any(not g.adj[u] & rest for u in bits(rest)):
-                return False
-        return True
-    if variant is Variant.CRDF:
-        for v in bits(m1):
-            if not g.adj[v] & m2:
-                continue
-            if is_connected_set(g, pos & ~bit(v)):
-                return False
-        return True
-    raise ValueError(f"unknown variant {variant}")
+    if len(f) != g.n:
+        raise ValueError("function length does not match graph order")
+    return TwoSetContext(g, a, variant).minimal(pos_mask(f))
 
 
 # --------------------------------------------- branching-framework conditions
@@ -247,7 +297,7 @@ def two_drop_iff_no_private(g: Graph, f: RomanFunction, v: int, variant: Variant
     if not is_variant(g, f, variant):
         raise ValueError("function does not have the property")
     keeps = is_variant(g, sub_one(f, bit(v)), variant)
-    no_external = not _has_external_private(g, pos_mask(f), two_mask(f), v)
+    no_external = not TwoSetContext(g, two_mask(f), variant).private[v] & ~pos_mask(f)
     return keeps == no_external
 
 
@@ -336,7 +386,8 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
     if not ok:
         lines.append(f"minimal {variant.value}: NO (property fails)")
         return False, lines
-    bad_two = [v for v in bits(m2) if not _has_external_private(g, pos, m2, v)]
+    private = TwoSetContext(g, m2, variant).private
+    bad_two = [v for v in bits(m2) if not private[v] & ~pos]
     if bad_two:
         lines.append(f"2-vertices without an external private neighbor: {bad_two}")
     else:

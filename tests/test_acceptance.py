@@ -31,7 +31,6 @@ from romanenum.fixed_two import (
     IntervalConnectedSolver,
     MrdfSolver,
     RdfSolver,
-    mrdf_fixed_two,
     solver_for,
 )
 from romanenum.gadgets import (
@@ -97,12 +96,12 @@ def test_criterion_01_instant_no_instance_answers(capfd):
     a = mask_of([0, 3])
     # warm up, then take the best of five timed repetitions
     assert extension_check(g, (2, 0, 0, 2), Variant.MRDF, mode="fast") is False
-    assert mrdf_fixed_two(g, a) == []
+    assert list(MrdfSolver(g).stream(a)) == []
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
         no_extension = extension_check(g, (2, 0, 0, 2), Variant.MRDF, mode="fast")
-        empty = mrdf_fixed_two(g, a)
+        empty = list(MrdfSolver(g).stream(a))
         best = min(best, time.perf_counter() - t0)
         assert no_extension is False and empty == []
     ok = best < 0.001
@@ -186,7 +185,7 @@ def test_criterion_05_completion_cardinality_bounds(capfd):
         n = rng.randint(1, 9)
         g = random_graph(n, rng.uniform(0.1, 0.9), rng)
         a = rng.getrandbits(n)
-        k = len(mrdf_fixed_two(g, a))
+        k = len(list(MrdfSolver(g).stream(a)))
         assert k <= n, (g, a, k)
         worst_general = max(worst_general, k / n)
     worst_cobip = 0.0

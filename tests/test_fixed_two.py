@@ -5,7 +5,10 @@ re-checked against the minimality predicate as it leaves the stream.
 """
 
 import random
-from itertools import combinations
+import sys
+import time
+from collections import defaultdict
+from itertools import combinations, islice
 
 import pytest
 
@@ -24,11 +27,7 @@ from romanenum.fixed_two import (
     IntervalConnectedSolver,
     MrdfSolver,
     RdfSolver,
-    build_window_tables,
-    cobipartite_fixed_two,
-    interval_crdf_fixed_two,
-    mrdf_fixed_two,
-    rdf_fixed_two,
+    fewest_connectors,
     solver_for,
 )
 from romanenum.graphs import (
@@ -39,10 +38,18 @@ from romanenum.graphs import (
     bits,
     intersection_graph,
     is_connected,
+    is_connected_set,
     mask_of,
 )
 from romanenum.oracle import oracle_all_minimal, oracle_fixed_two
-from romanenum.roman import UnsupportedRoute, Variant, canonical_rdf, two_mask
+from romanenum.roman import (
+    TwoSetContext,
+    UnsupportedRoute,
+    Variant,
+    canonical_rdf,
+    pos_mask,
+    two_mask,
+)
 
 
 def stream_set(solver, a):
@@ -160,6 +167,60 @@ def test_interval_solver_covers_all_two_sets_on_paths():
         assert union == oracle_all_minimal(g, Variant.CRDF)
 
 
+def sparse_interval_layout(n, rng):
+    """Five short anchors spaced along a line; every gap between consecutive
+    anchors gets one bridging interval, the other n - 9 go to random gaps.
+
+    Connecting the positive set often takes one raised bridge per gap, so
+    many completions have four raised vertices and go through the window
+    DAG, unlike those of short random layouts.
+    """
+    out = [(4 * i, 4 * i + 1) for i in range(5)]
+    gaps = list(range(4))
+    while len(out) < n:
+        i = gaps.pop(0) if gaps else rng.randrange(4)
+        out.append((4 * i + 1, 4 * i + rng.choice((4, 5))))
+    rng.shuffle(out)
+    return IntervalModel(tuple(out))
+
+
+def test_interval_solver_matches_oracle_on_long_sparse_layouts():
+    rng = random.Random(0x4568)
+    window_route = 0
+    for _ in range(30):
+        n = rng.randint(9, 11)
+        model = sparse_interval_layout(n, rng)
+        g = intersection_graph(model)
+        solver = IntervalConnectedSolver(g, model)
+        want = defaultdict(set)
+        for f in oracle_all_minimal(g, Variant.CRDF, cap=11):
+            want[two_mask(f)].add(f)
+        for a in set(want) | {rng.getrandbits(n) for _ in range(20)}:
+            got = stream_set(solver, a)
+            assert got == want[a], (model, a)
+            pos0 = TwoSetContext(g, a, Variant.CRDF).pos0
+            window_route += sum((pos_mask(f) & ~pos0).bit_count() >= 4 for f in got)
+    assert window_route >= 20
+
+
+def test_fewest_connectors_matches_brute_force():
+    rng = random.Random(0x4569)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        g, model = random_interval_instance(n, rng)
+        pos = rng.getrandbits(n)
+        spare = sorted(bits(g.full & ~pos), key=lambda v: model.intervals[v])
+        fewest = next(
+            (
+                k
+                for k in range(len(spare) + 1)
+                if any(is_connected_set(g, pos | mask_of(x)) for x in combinations(spare, k))
+            ),
+            None,
+        )
+        assert fewest_connectors(model, pos, spare) == fewest, (model, pos)
+
+
 # ------------------------------------------------------------ chain family
 
 
@@ -186,8 +247,6 @@ def test_chain_layout_is_rejected_by_validation():
     g, model, seed = double_link_chain(3)
     with pytest.raises(ValueError):
         IntervalConnectedSolver(g, model)  # identical connector intervals add edges
-    with pytest.raises(ValueError):
-        build_window_tables(g, model, seed)
     # validation can be waived explicitly, and routing honors the waiver
     solver = solver_for(g, Variant.CRDF, model=model, class_hint="interval", validate_model=False)
     assert isinstance(solver, IntervalConnectedSolver)
@@ -195,10 +254,22 @@ def test_chain_layout_is_rejected_by_validation():
         solver_for(g, Variant.CRDF, model=model, class_hint="interval")
 
 
+def test_chord_the_model_does_not_show_still_connects():
+    # the path layout misses the chord 0-4, which connects 0, 1, 2 and 4
+    # with one raised vertex where the layout needs two
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    solver = IntervalConnectedSolver(g, path_interval_model(5), validate=False)
+    want = oracle_fixed_two(g, Variant.CRDF, bit(2))
+    assert (1, 1, 2, 0, 1) in want
+    assert stream_set(solver, bit(2)) == want
+
+
 def test_window_tables_size_mismatch():
     g = path_graph(4)
     with pytest.raises(ValueError):
-        build_window_tables(g, path_interval_model(5), 0b0001)
+        IntervalConnectedSolver(g, path_interval_model(5))
+    with pytest.raises(ValueError):
+        IntervalConnectedSolver(g, path_interval_model(5), validate=False)
 
 
 # -------------------------------------------------------------- monotonicity
@@ -233,34 +304,34 @@ def test_nonempty_completions_are_downward_closed():
 def test_empty_two_set_completions():
     p4 = path_graph(4)
     ones = (1, 1, 1, 1)
-    assert rdf_fixed_two(p4, 0) == [ones]
-    assert mrdf_fixed_two(p4, 0) == [ones]
-    assert interval_crdf_fixed_two(p4, path_interval_model(4), 0) == [ones]
+    assert list(RdfSolver(p4).stream(0)) == [ones]
+    assert list(MrdfSolver(p4).stream(0)) == [ones]
+    assert list(IntervalConnectedSolver(p4, path_interval_model(4)).stream(0)) == [ones]
     k4 = complete_graph(4)
     part = CobipartitePartition(mask_of([0, 1]), mask_of([2, 3]))
-    assert cobipartite_fixed_two(k4, Variant.TRDF, 0, part) == [ones]
+    assert list(CobipartiteSolver(k4, Variant.TRDF, part).stream(0)) == [ones]
 
     # disconnected interval graph: no connected completion exists for the
     # empty 2-set
     split_model = IntervalModel(((0, 1), (5, 6)))
     g2 = intersection_graph(split_model)
     assert not is_connected(g2)
-    assert interval_crdf_fixed_two(g2, split_model, 0) == []
+    assert list(IntervalConnectedSolver(g2, split_model).stream(0)) == []
 
 
 def test_invalid_two_sets_stream_nothing():
     p3 = path_graph(3)
     a = mask_of([0, 2])  # both ends: neither keeps a private neighbor
-    assert rdf_fixed_two(p3, a) == []
-    assert mrdf_fixed_two(p3, a) == []
-    assert interval_crdf_fixed_two(p3, path_interval_model(3), a) == []
+    assert list(RdfSolver(p3).stream(a)) == []
+    assert list(MrdfSolver(p3).stream(a)) == []
+    assert list(IntervalConnectedSolver(p3, path_interval_model(3)).stream(a)) == []
 
 
 def test_single_vertex_graph_completions():
     k1 = complete_graph(1)
-    assert rdf_fixed_two(k1, 0) == [(1,)]
-    assert rdf_fixed_two(k1, 1) == []  # a lone 2 lowers to a 1
-    assert mrdf_fixed_two(k1, 0) == [(1,)]
+    assert list(RdfSolver(k1).stream(0)) == [(1,)]
+    assert list(RdfSolver(k1).stream(1)) == []  # a lone 2 lowers to a 1
+    assert list(MrdfSolver(k1).stream(0)) == [(1,)]
 
 
 def test_large_interval_completions_use_window_route():
@@ -277,3 +348,29 @@ def test_large_interval_completions_use_window_route():
         for gap in range(4):
             pair = {5 + 2 * gap, 5 + 2 * gap + 1}
             assert len(pair & raised) == 1
+
+
+def test_long_chain_first_output_is_fast():
+    g, model, seed = double_link_chain(40)
+    solver = IntervalConnectedSolver(g, model, validate=False)
+    t0 = time.perf_counter()
+    first = solver.first(seed)
+    elapsed = time.perf_counter() - t0
+    assert first is not None and two_mask(first) == seed
+    assert elapsed < 1.0, f"first output took {elapsed:.2f}s"
+
+
+def test_long_chain_streams_under_a_low_recursion_limit():
+    # raised sets of 119 members: a recursive DAG walk would need a frame
+    # per member
+    g, model, seed = double_link_chain(120)
+    solver = IntervalConnectedSolver(g, model, validate=False)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        out = list(islice(solver.stream(seed), 50))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(set(out)) == 50
+    for f in out:
+        assert sum(f[120 + 2 * gap] + f[121 + 2 * gap] for gap in range(119)) == 119
