@@ -8,7 +8,7 @@ stream of C(A); solvers exist for
   rdf   on all graphs (C(A) is the canonical rdf of A, or empty),
   mrdf  on all graphs (at most n candidates),
   trdf / crdf on cobipartite graphs (at most n^2+n+1 candidates),
-  crdf  on interval graphs (sliding-window tables, polynomial delay).
+  crdf  on interval graphs (window DAG, polynomial delay).
 
 Emptiness of C is monotone downward in A (a nonempty superset forces a
 nonempty subset), which is what makes pruning in the engine sound.
@@ -17,6 +17,10 @@ The mrdf, trdf and crdf solvers build one roman.TwoSetContext per 2-set.
 It holds the canonical positive set, N(A) and the private candidates of
 each member of A, so each candidate is tested as a positive-set mask against
 constants of A; a tuple is built only for a candidate that passes.
+
+The interval solver's window tests are neighborhood masks: one breadth-first
+search gives N(C) for a component C, and every vertex the window could add
+next is read off a difference of three such masks (see WindowTables).
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ from .graphs import (
     IntervalModel,
     bit,
     bits,
+    component_neighborhood,
     is_dominating,
     mask_of,
     recognize_cobipartite,
-    same_component,
+    same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
     validate_cobipartite,
     validate_interval_model,
 )
@@ -170,24 +175,49 @@ class CobipartiteSolver(FixedTwoSolver):
 
 
 class WindowTables:
-    """Sliding-window membership tables for connected completions on an
-    interval order.
+    """Window tests for connected completions on an interval order.
 
-    Fix a 2-set a and its context.  A candidate set X of 0-vertices of the
-    canonical rdf completes it to a minimal connected rdf exactly when,
-    reading X in interval order (left endpoint, right endpoint, index),
+    Fix a 2-set a and its context, and let B be the canonical positive set
+    ctx.pos0.  A candidate set X of 0-vertices of the canonical rdf completes
+    a to a minimal connected rdf exactly when, reading X in interval order
+    (left endpoint, right endpoint, index),
 
       - |X| <= 3: checked directly, or
       - |X| >= 4: the three smallest members pass the start test, the three
         largest pass the end test, and every four consecutive members pass
         the middle test.
 
-    Each test combines a private-neighbor condition (removing the window must
-    not use up all private neighbors of any 2-vertex) with three connectivity
+    Each test combines a private-neighbor condition (the window must not
+    take up all private candidates of any 2-vertex) with three connectivity
     probes on induced subgraphs: the window must connect its span, and
     dropping either middle element must break it.  s and t are the extremal
-    positive vertices of the canonical rdf; probes from them detect whether
-    X reaches the ends of the layout.
+    positive vertices of B; probes from them detect whether X reaches the
+    ends of the layout.
+
+    The probes are answered by neighborhood masks.  Write C_r(S) for the
+    component of r in G[S + r] and N(C) for every vertex adjacent to C.  A
+    vertex z outside S + r joins C_r(S) in G[S + r + z] iff z lies in
+    N(C_r(S)), so for a pair (u, v) the mask
+
+      N(C_r(B + u + v)) - N(C_r(B + u)) - N(C_r(B + v))
+
+    holds exactly the z whose three probes pass: root s with the pair (x, y)
+    for the start window (x, y, z), root w with (x, y) for the middle window
+    (w, x, y, z), and root t with (y, z) for the end window (x, y, z),
+    probing x.  The rule holds on any graph, whatever the model.  N(C) is
+    cached per (root, added vertices): a DAG node (w, x, y) costs one
+    breadth-first search for its pair and at most two for the single
+    vertices, which it shares with every node of the same root and middle
+    member.  A pair in which u or v does not touch the root's component with
+    the other added gives an empty mask without the pair search.  The
+    private-neighbor condition runs only on the vertices a mask holds.
+
+    The private-neighbor condition of the middle test is kept although no
+    instance is known where dropping it changes an output: an exhaustive
+    search over every interval model (up to endpoint order) of at most 8
+    intervals and every proper one of at most 11 found none, although the
+    condition did reject windows whose probes passed, and no argument shows
+    that the start and end tests imply it.
     """
 
     def __init__(self, g: Graph, model: IntervalModel, ctx: TwoSetContext):
@@ -199,51 +229,49 @@ class WindowTables:
         iv = model.intervals
         self.s = min(bits(self.base_pos), key=lambda v: (iv[v][0], iv[v][1], v))
         self.t = max(bits(self.base_pos), key=lambda v: (iv[v][1], iv[v][0], v))
-        self._start: dict = {}
-        self._end: dict = {}
-        self._middle: dict = {}
+        self._border: dict = {}
+
+    def _touching(self, root: int, added: int) -> int:
+        """N(C_root(B + added)), cached."""
+        key = (root, added)
+        got = self._border.get(key)
+        if got is None:
+            got = component_neighborhood(self.g, self.base_pos | added, root)
+            self._border[key] = got
+        return got
+
+    def _needing_both(self, root: int, u: int, v: int) -> int:
+        """The vertices that join root's component once u and v are added,
+        but not with only one of them."""
+        with_u = self._touching(root, bit(u))
+        with_v = self._touching(root, bit(v))
+        if not (with_u >> v & 1 and with_v >> u & 1):
+            # one of the pair leaves the root's component as it is
+            return 0
+        return self._touching(root, bit(u) | bit(v)) & ~with_u & ~with_v
+
+    def start_mask(self, x: int, y: int) -> int:
+        """Every z whose window (x, y, z) passes the start probes."""
+        return self._needing_both(self.s, x, y)
+
+    def middle_mask(self, w: int, x: int, y: int) -> int:
+        """Every z whose window (w, x, y, z) passes the middle probes."""
+        return self._needing_both(w, x, y)
 
     def start_ok(self, x: int, y: int, z: int) -> bool:
-        key = (x, y, z)
-        hit = self._start.get(key)
-        if hit is None:
-            g, s, base = self.g, self.s, self.base_pos
-            hit = (
-                same_component(g, base | mask_of((x, y, z)), s, z)
-                and not same_component(g, base | mask_of((x, z)), s, z)
-                and not same_component(g, base | mask_of((y, z)), s, z)
-                and self.ctx.private_ok(mask_of((x, y, z)))
-            )
-            self._start[key] = hit
-        return hit
+        return bool(self.start_mask(x, y) >> z & 1) and self.ctx.private_ok(
+            bit(x) | bit(y) | bit(z)
+        )
 
     def end_ok(self, x: int, y: int, z: int) -> bool:
-        key = (x, y, z)
-        hit = self._end.get(key)
-        if hit is None:
-            g, t, base = self.g, self.t, self.base_pos
-            hit = (
-                same_component(g, base | mask_of((x, y, z)), t, x)
-                and not same_component(g, base | mask_of((x, z)), t, x)
-                and not same_component(g, base | mask_of((x, y)), t, x)
-                and self.ctx.private_ok(mask_of((x, y, z)))
-            )
-            self._end[key] = hit
-        return hit
+        return bool(self._needing_both(self.t, y, z) >> x & 1) and self.ctx.private_ok(
+            bit(x) | bit(y) | bit(z)
+        )
 
     def middle_ok(self, w: int, x: int, y: int, z: int) -> bool:
-        key = (w, x, y, z)
-        hit = self._middle.get(key)
-        if hit is None:
-            g, base = self.g, self.base_pos
-            hit = (
-                same_component(g, base | mask_of((w, x, y, z)), w, z)
-                and not same_component(g, base | mask_of((w, x, z)), w, z)
-                and not same_component(g, base | mask_of((w, y, z)), w, z)
-                and self.ctx.private_ok(mask_of((w, x, y, z)))
-            )
-            self._middle[key] = hit
-        return hit
+        return bool(self.middle_mask(w, x, y) >> z & 1) and self.ctx.private_ok(
+            bit(w) | bit(x) | bit(y) | bit(z)
+        )
 
 
 def fewest_connectors(model: IntervalModel, pos: int, spare) -> Optional[int]:
@@ -287,9 +315,13 @@ class IntervalConnectedSolver(FixedTwoSolver):
     scanned directly against the 2-set's TwoSetContext.  Larger ones are
     source-to-sink paths in a DAG whose nodes are window-passing triples;
     restricting the walk to nodes that can reach a sink keeps the delay
-    polynomial.  Both DAG walks use explicit stacks, so their depth, which
-    grows with the number of raised vertices, is not bounded by Python's
-    recursion limit.
+    polynomial.  A node's successors are read off one WindowTables mask
+    (at most three breadth-first searches per node, two of them shared), and
+    the start nodes off one mask per pair of 0-vertices, taken in
+    lexicographic order, so the walk reaches its first sink after a number
+    of searches linear in the nodes it expands.  Both DAG walks use explicit stacks, so their
+    depth, which grows with the number of raised vertices, is not bounded
+    by Python's recursion limit.
     """
 
     graph_class = "interval"
@@ -331,24 +363,38 @@ class IntervalConnectedSolver(FixedTwoSolver):
     def _large_stream(self, ctx, universe, tables) -> Iterator[RomanFunction]:
         g = self.graph
         m = len(universe)
+        rank = {v: r for r, v in enumerate(universe)}
+        # later[k]: the members of universe after position k
+        later = [0] * m
+        for k in range(m - 2, -1, -1):
+            later[k] = later[k + 1] | bit(universe[k + 1])
         succ_memo: dict = {}
+        sink_memo: dict = {}
         reach_memo: dict = {}
+
+        def in_order(mask):
+            return sorted(rank[v] for v in bits(mask))
 
         def successors(node):
             got = succ_memo.get(node)
             if got is None:
                 i, j, k = node
+                w, x, y = universe[i], universe[j], universe[k]
                 got = [
                     (j, k, l)
-                    for l in range(k + 1, m)
-                    if tables.middle_ok(universe[i], universe[j], universe[k], universe[l])
+                    for l in in_order(tables.middle_mask(w, x, y) & later[k])
+                    if tables.middle_ok(w, x, y, universe[l])
                 ]
                 succ_memo[node] = got
             return got
 
         def is_sink(node):
-            i, j, k = node
-            return tables.end_ok(universe[i], universe[j], universe[k])
+            got = sink_memo.get(node)
+            if got is None:
+                i, j, k = node
+                got = tables.end_ok(universe[i], universe[j], universe[k])
+                sink_memo[node] = got
+            return got
 
         def reaches_sink(root):
             # depth-first with explicit stacks: the first sink found answers
@@ -391,10 +437,14 @@ class IntervalConnectedSolver(FixedTwoSolver):
                     raised.pop()
                     todo.pop()
 
-        for node in combinations(range(m), 3):
-            i, j, k = node
-            if tables.start_ok(universe[i], universe[j], universe[k]) and reaches_sink(node):
-                yield from walk(node)
+        # start nodes in lexicographic order: each pair's mask gives every
+        # third member at once
+        for i, j in combinations(range(m), 2):
+            x, y = universe[i], universe[j]
+            for k in in_order(tables.start_mask(x, y) & later[j]):
+                node = (i, j, k)
+                if tables.start_ok(x, y, universe[k]) and reaches_sink(node):
+                    yield from walk(node)
 
     def cardinality_bound(self, n: int) -> Optional[int]:
         return None

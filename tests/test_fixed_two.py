@@ -8,10 +8,11 @@ import random
 import sys
 import time
 from collections import defaultdict
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import pytest
 
+import romanenum.fixed_two as fixed_two
 from romanenum.families import (
     complete_graph,
     cycle_graph,
@@ -27,6 +28,7 @@ from romanenum.fixed_two import (
     IntervalConnectedSolver,
     MrdfSolver,
     RdfSolver,
+    WindowTables,
     fewest_connectors,
     solver_for,
 )
@@ -40,6 +42,7 @@ from romanenum.graphs import (
     is_connected,
     is_connected_set,
     mask_of,
+    same_component,
 )
 from romanenum.oracle import oracle_all_minimal, oracle_fixed_two
 from romanenum.roman import (
@@ -221,6 +224,72 @@ def test_fewest_connectors_matches_brute_force():
         assert fewest_connectors(model, pos, spare) == fewest, (model, pos)
 
 
+def probe_start(tables, x, y, z):
+    g, s, base = tables.g, tables.s, tables.base_pos
+    return (
+        same_component(g, base | mask_of((x, y, z)), s, z)
+        and not same_component(g, base | mask_of((x, z)), s, z)
+        and not same_component(g, base | mask_of((y, z)), s, z)
+        and tables.ctx.private_ok(mask_of((x, y, z)))
+    )
+
+
+def probe_end(tables, x, y, z):
+    g, t, base = tables.g, tables.t, tables.base_pos
+    return (
+        same_component(g, base | mask_of((x, y, z)), t, x)
+        and not same_component(g, base | mask_of((x, z)), t, x)
+        and not same_component(g, base | mask_of((x, y)), t, x)
+        and tables.ctx.private_ok(mask_of((x, y, z)))
+    )
+
+
+def probe_middle(tables, w, x, y, z):
+    g, base = tables.g, tables.base_pos
+    return (
+        same_component(g, base | mask_of((w, x, y, z)), w, z)
+        and not same_component(g, base | mask_of((w, x, z)), w, z)
+        and not same_component(g, base | mask_of((w, y, z)), w, z)
+        and tables.ctx.private_ok(mask_of((w, x, y, z)))
+    )
+
+
+def test_window_masks_match_the_connectivity_probes():
+    # the mask rule must agree with the three probes of each window on any
+    # graph, including models that miss a chord of the graph
+    rng = random.Random(0x456A)
+    checked = 0
+    passed = defaultdict(int)
+    for trial in range(60):
+        if trial % 2 == 0:
+            model = sparse_interval_layout(rng.randint(9, 10), rng)
+            g = intersection_graph(model)
+        else:
+            g, model = random_interval_instance(rng.randint(5, 10), rng)
+        if trial % 4 == 3:
+            chords = {tuple(sorted(rng.sample(range(g.n), 2))) for _ in range(2)}
+            g = Graph(g.n, sorted(set(g.edges()) | chords))
+        for _ in range(4):
+            ctx = TwoSetContext(g, mask_of(rng.sample(range(g.n), rng.randint(1, 2))), Variant.CRDF)
+            universe = list(bits(g.full & ~ctx.pos0))
+            if not ctx.pos0 or len(universe) > 8:
+                continue
+            tables = WindowTables(g, model, ctx)
+            for x, y, z in permutations(universe, 3):
+                for test, probe in ((tables.start_ok, probe_start), (tables.end_ok, probe_end)):
+                    want = probe(tables, x, y, z)
+                    assert test(x, y, z) == want, (model, g.edges(), ctx.a, x, y, z)
+                    passed[probe] += want
+                    checked += 1
+            for w, x, y, z in permutations(universe, 4):
+                want = probe_middle(tables, w, x, y, z)
+                assert tables.middle_ok(w, x, y, z) == want, (model, g.edges(), ctx.a, w, x, y, z)
+                passed[probe_middle] += want
+                checked += 1
+    assert checked > 10000, checked
+    assert min(passed[p] for p in (probe_start, probe_end, probe_middle)) >= 30, passed
+
+
 # ------------------------------------------------------------ chain family
 
 
@@ -358,6 +427,30 @@ def test_long_chain_first_output_is_fast():
     elapsed = time.perf_counter() - t0
     assert first is not None and two_mask(first) == seed
     assert elapsed < 1.0, f"first output took {elapsed:.2f}s"
+
+
+def test_first_output_probe_count_grows_linearly(monkeypatch):
+    # breadth-first searches until the first completion of the chain's 2-set;
+    # a window test per (DAG node, later vertex) would grow about 4x per
+    # doubling of the chain, one neighborhood mask per node about 2x
+    searches = 0
+    reach = fixed_two.component_neighborhood
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return reach(*args)
+
+    monkeypatch.setattr(fixed_two, "component_neighborhood", counted)
+    counts = []
+    for anchors in (20, 40, 80, 160):
+        g, model, seed = double_link_chain(anchors)
+        searches = 0
+        first = IntervalConnectedSolver(g, model, validate=False).first(seed)
+        assert first is not None and two_mask(first) == seed
+        counts.append(searches)
+    for small, large in zip(counts, counts[1:]):
+        assert 0 < large <= 2.5 * small, counts
 
 
 def test_long_chain_streams_under_a_low_recursion_limit():

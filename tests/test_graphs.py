@@ -13,6 +13,7 @@ from romanenum.graphs import (
     bit,
     bits,
     closed_neighborhood,
+    component_neighborhood,
     format_graph,
     format_intervals,
     format_vertex_set,
@@ -144,6 +145,19 @@ def test_connectivity_predicates():
     assert is_connected(p4)
     assert not is_connected(Graph(2, []))
     assert is_connected(Graph(1, []))
+
+
+def test_component_neighborhood_is_what_joins_the_component():
+    rng = random.Random(0x6A)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        s = rng.getrandbits(n)
+        v = rng.randrange(n)
+        border = component_neighborhood(g, s, v)
+        for z in range(n):
+            if not (s | bit(v)) >> z & 1:
+                assert bool(border >> z & 1) == same_component(g, s | bit(v) | bit(z), v, z)
 
 
 def test_clique_and_universal():
