@@ -19,26 +19,16 @@ emptiness is the answer.  Function streams are flushed line by line;
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import families
-from .engine import EnumerationStats, enumerate_with_budget, iter_minimal
+from .engine import EnumerationStats, iter_minimal
 from .fixed_two import IntervalConnectedSolver, solver_for
-from .gadgets import (
-    GadgetError,
-    gadget_crdf_from_sat,
-    gadget_maxrd_from_extds,
-    gadget_split_from_hypergraph,
-    gadget_trdf_from_sat,
-)
 from .graphs import (
     Graph,
     GraphFormatError,
+    bits,
     format_graph,
     format_intervals,
     format_vertex_set,
@@ -46,13 +36,6 @@ from .graphs import (
     parse_intervals,
     parse_vertex_set,
     validate_interval_model,
-)
-from .oracle import (
-    CapExceeded,
-    oracle_all_minimal,
-    oracle_fixed_two,
-    parse_dimacs,
-    parse_hypergraph,
 )
 from .roman import (
     UnsupportedRoute,
@@ -66,41 +49,21 @@ from .roman import (
 OK, ERR_INPUT, ERR_UNSUPPORTED, ERR_EMPTY = 0, 1, 2, 3
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    command: str
-    variant: Optional[Variant] = None
-    graph_class: str = "auto"
-    graph_path: Optional[str] = None
-    intervals_path: Optional[str] = None
-    two_set: Optional[str] = None
-    function: Optional[str] = None
-    output: Optional[str] = None
-    limit: int = 0
-    stats: bool = False
-    fmt: str = "text"
-    cap: int = 10
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    if cfg.graph_path is None:
+def _load_graph(ns: argparse.Namespace) -> Graph:
+    if ns.graph is None:
         raise GraphFormatError("no graph file given")
-    return parse_graph(_read_text(cfg.graph_path))
+    return parse_graph(_read_text(ns.graph))
 
 
-def _load_model(cfg: RunConfig, g: Graph):
-    if cfg.intervals_path is None:
+def _load_model(ns: argparse.Namespace, g: Graph):
+    if ns.intervals is None:
         return None
-    model = parse_intervals(_read_text(cfg.intervals_path))
+    model = parse_intervals(_read_text(ns.intervals))
     if len(model) != g.n:
         raise GraphFormatError("interval file size does not match the graph")
     if not validate_interval_model(g, model):
@@ -127,26 +90,17 @@ class _Out:
 
 def _function_line(f, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(
             {
                 "values": list(f),
-                "v2": sorted_bits(level_mask(f, 2)),
-                "v1": sorted_bits(level_mask(f, 1)),
+                "v2": list(bits(level_mask(f, 2))),
+                "v1": list(bits(level_mask(f, 1))),
             },
             separators=(",", ":"),
         )
     return format_function(f)
-
-
-def sorted_bits(mask: int) -> list:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 def _emit_stats(out: _Out, st: EnumerationStats) -> None:
@@ -154,52 +108,52 @@ def _emit_stats(out: _Out, st: EnumerationStats) -> None:
         out.line(f"# {key}={value}")
 
 
-def _make_solver(cfg: RunConfig, g: Graph):
-    model = _load_model(cfg, g)
+def _make_solver(ns: argparse.Namespace, g: Graph):
+    model = _load_model(ns, g)
     return solver_for(
         g,
-        cfg.variant,
+        ns.variant,
         model=model,
-        class_hint=cfg.graph_class,
+        class_hint=ns.graph_class,
         validate_model=False,  # validated (with warning) in _load_model
     )
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    solver = _make_solver(cfg, g)
-    out = _Out(cfg.output)
+def cmd_enumerate(ns: argparse.Namespace) -> int:
+    g = _load_graph(ns)
+    solver = _make_solver(ns, g)
+    out = _Out(ns.output)
     try:
         st = EnumerationStats()
-        stream = iter_minimal(g, cfg.variant, solver, stats=st)
+        stream = iter_minimal(g, ns.variant, solver, stats=st)
         count = 0
         for _a, f in stream:
-            out.line(_function_line(f, cfg.fmt))
+            out.line(_function_line(f, ns.fmt))
             count += 1
-            if cfg.limit and count >= cfg.limit:
+            if ns.limit and count >= ns.limit:
                 break
         stream.close()
-        if cfg.stats:
+        if ns.stats:
             _emit_stats(out, st)
         return OK
     finally:
         out.close()
 
 
-def cmd_fixed_two(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    a = parse_vertex_set(cfg.two_set or "", g.n)
-    solver = _make_solver(cfg, g)
-    out = _Out(cfg.output)
+def cmd_fixed_two(ns: argparse.Namespace) -> int:
+    g = _load_graph(ns)
+    a = parse_vertex_set(ns.two_set, g.n)
+    solver = _make_solver(ns, g)
+    out = _Out(ns.output)
     try:
         start = time.perf_counter()
         count = 0
         for f in solver.stream(a):
-            out.line(_function_line(f, cfg.fmt))
+            out.line(_function_line(f, ns.fmt))
             count += 1
-            if cfg.limit and count >= cfg.limit:
+            if ns.limit and count >= ns.limit:
                 break
-        if cfg.stats:
+        if ns.stats:
             out.line(f"# outputs={count}")
             out.line(f"# seconds={round(time.perf_counter() - start, 6)}")
         return OK if count else ERR_EMPTY
@@ -207,35 +161,37 @@ def cmd_fixed_two(cfg: RunConfig) -> int:
         out.close()
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    out = _Out(cfg.output)
+def cmd_oracle(ns: argparse.Namespace) -> int:
+    from .oracle import oracle_all_minimal, oracle_fixed_two
+
+    g = _load_graph(ns)
+    out = _Out(ns.output)
     try:
-        if cfg.two_set is not None:
-            a = parse_vertex_set(cfg.two_set, g.n)
-            fns = sorted(oracle_fixed_two(g, cfg.variant, a, cap=cfg.cap))
+        if ns.two_set is not None:
+            a = parse_vertex_set(ns.two_set, g.n)
+            fns = sorted(oracle_fixed_two(g, ns.variant, a, cap=ns.cap))
         else:
-            fns = sorted(oracle_all_minimal(g, cfg.variant, cap=cfg.cap))
+            fns = sorted(oracle_all_minimal(g, ns.variant, cap=ns.cap))
         for f in fns:
-            out.line(_function_line(f, cfg.fmt))
-        if cfg.stats:
+            out.line(_function_line(f, ns.fmt))
+        if ns.stats:
             out.line(f"# outputs={len(fns)}")
-        if cfg.two_set is not None and not fns:
+        if ns.two_set is not None and not fns:
             return ERR_EMPTY
         return OK
     finally:
         out.close()
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    f = parse_function(cfg.function or "")
+def cmd_check(ns: argparse.Namespace) -> int:
+    g = _load_graph(ns)
+    f = parse_function(ns.function)
     if len(f) != g.n:
         raise GraphFormatError(
             f"function has {len(f)} digits, graph has {g.n} vertices"
         )
-    verdict, lines = minimality_report(g, f, cfg.variant)
-    out = _Out(cfg.output)
+    verdict, lines = minimality_report(g, f, ns.variant)
+    out = _Out(ns.output)
     try:
         for line in lines:
             out.line(line)
@@ -244,29 +200,35 @@ def cmd_check(cfg: RunConfig) -> int:
         out.close()
 
 
-def cmd_gadget(cfg: RunConfig) -> int:
-    kind = cfg.extra["kind"]
+def cmd_gadget(ns: argparse.Namespace) -> int:
+    from .gadgets import (
+        gadget_crdf_from_sat,
+        gadget_maxrd_from_extds,
+        gadget_split_from_hypergraph,
+        gadget_trdf_from_sat,
+    )
+    from .oracle import parse_dimacs, parse_hypergraph
+
+    kind = ns.kind
     if kind in ("crdf-sat", "trdf-sat"):
-        if cfg.extra.get("cnf") is None:
+        if ns.cnf is None:
             raise GraphFormatError("sat gadgets need --cnf FILE")
-        cnf = parse_dimacs(_read_text(cfg.extra["cnf"]))
+        cnf = parse_dimacs(_read_text(ns.cnf))
         build = gadget_crdf_from_sat if kind == "crdf-sat" else gadget_trdf_from_sat
-        inst = build(cnf, strict=cfg.extra.get("strict", False))
+        inst = build(cnf, strict=ns.strict)
     elif kind == "mrdf-extension":
-        g = _load_graph(cfg)
-        u = parse_vertex_set(cfg.extra.get("set") or "", g.n)
+        g = _load_graph(ns)
+        u = parse_vertex_set(ns.set or "", g.n)
         inst = gadget_maxrd_from_extds(g, u)
     elif kind == "split-transversal":
-        if cfg.extra.get("hypergraph") is None:
+        if ns.hypergraph is None:
             raise GraphFormatError("split gadget needs --hypergraph FILE")
-        h = parse_hypergraph(_read_text(cfg.extra["hypergraph"]))
-        inst = gadget_split_from_hypergraph(
-            h, allow_universal=cfg.extra.get("allow_universal", False)
-        )
+        h = parse_hypergraph(_read_text(ns.hypergraph))
+        inst = gadget_split_from_hypergraph(h, allow_universal=ns.allow_universal)
     else:  # pragma: no cover - argparse restricts choices
         raise GraphFormatError(f"unknown gadget kind {kind}")
 
-    prefix = cfg.extra.get("out")
+    prefix = ns.out
     graph_text = format_graph(inst.graph)
     label_lines = [f"{v} {name}" for v, name in enumerate(inst.labels)]
     if prefix:
@@ -282,7 +244,7 @@ def cmd_gadget(cfg: RunConfig) -> int:
                 fh.write(format_function(inst.prefunction) + "\n")
         print(f"wrote {prefix}.graph")
         return OK
-    out = _Out(cfg.output)
+    out = _Out(ns.output)
     try:
         out.line(graph_text.rstrip("\n"))
         out.line("# labels")
@@ -299,6 +261,10 @@ def cmd_gadget(cfg: RunConfig) -> int:
 
 def _family_instance(family: str, n: int, p: float, seed: int):
     """Returns (graph, model-or-None, partition-or-None, distinguished-set-or-None)."""
+    import random
+
+    from . import families
+
     rng = random.Random(seed)
     if family == "path":
         return families.path_graph(n), None, None, None
@@ -324,11 +290,11 @@ def _family_instance(family: str, n: int, p: float, seed: int):
     raise GraphFormatError(f"unknown family {family}")
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    family = cfg.extra["family"]
-    n = cfg.extra["n"]
-    g, model, part, dset = _family_instance(family, n, cfg.extra.get("p", 0.5), cfg.seed)
-    prefix = cfg.extra.get("out")
+def cmd_gen(ns: argparse.Namespace) -> int:
+    family = ns.family
+    n = ns.n
+    g, model, part, dset = _family_instance(family, n, ns.p, ns.seed)
+    prefix = ns.out
     if prefix:
         with open(f"{prefix}.graph", "w", encoding="utf-8") as fh:
             fh.write(format_graph(g))
@@ -337,9 +303,9 @@ def cmd_gen(cfg: RunConfig) -> int:
                 fh.write(format_intervals(model))
         print(f"wrote {prefix}.graph")
         return OK
-    out = _Out(cfg.output)
+    out = _Out(ns.output)
     try:
-        out.line(f"# family={family} n={n} seed={cfg.seed}")
+        out.line(f"# family={family} n={n} seed={ns.seed}")
         if part is not None:
             out.line(
                 f"# cobipartite: {format_vertex_set(part.c1)} | {format_vertex_set(part.c2)}"
@@ -382,18 +348,16 @@ def _bench_row(family: str, variant: Variant, n: int, p: float, seed: int) -> En
     return st
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    family = cfg.extra["family"]
-    n_min, n_max = cfg.extra["n_min"], cfg.extra["n_max"]
-    step = cfg.extra.get("step", 1)
-    out = _Out(cfg.output)
+def cmd_bench(ns: argparse.Namespace) -> int:
+    family = ns.family
+    out = _Out(ns.output)
     try:
         out.line(BENCH_COLUMNS)
-        for n in range(n_min, n_max + 1, step):
-            st = _bench_row(family, cfg.variant, n, cfg.extra.get("p", 0.5), cfg.seed)
+        for n in range(ns.n_min, ns.n_max + 1, ns.step):
+            st = _bench_row(family, ns.variant, n, ns.p, ns.seed)
             d = st.as_dict()
             out.line(
-                f"{family},{cfg.variant.value},{n},{cfg.seed},{d['outputs']},"
+                f"{family},{ns.variant.value},{n},{ns.seed},{d['outputs']},"
                 f"{d['sets_explored']},{d['empty_sets_explored']},"
                 f"{d['max_consecutive_empty']},{d['max_inter_output_work']},{d['seconds']}"
             )
@@ -475,32 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    if getattr(ns, "variant", None):
-        cfg.variant = Variant(ns.variant)
-    for src, dst in (
-        ("graph", "graph_path"),
-        ("intervals", "intervals_path"),
-        ("two_set", "two_set"),
-        ("function", "function"),
-        ("output", "output"),
-        ("limit", "limit"),
-        ("stats", "stats"),
-        ("fmt", "fmt"),
-        ("cap", "cap"),
-        ("seed", "seed"),
-        ("graph_class", "graph_class"),
-    ):
-        if hasattr(ns, src) and getattr(ns, src) is not None:
-            setattr(cfg, dst, getattr(ns, src))
-    for key in ("kind", "cnf", "set", "hypergraph", "strict", "allow_universal",
-                "out", "family", "n", "p", "n_min", "n_max", "step"):
-        if hasattr(ns, key):
-            cfg.extra[key] = getattr(ns, key)
-    return cfg
-
-
 _COMMANDS = {
     "enumerate": cmd_enumerate,
     "fixed-two": cmd_fixed_two,
@@ -514,22 +452,14 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = _build_parser().parse_args(argv)
-    cfg = _config_from(ns)
+    if getattr(ns, "variant", None):
+        ns.variant = Variant(ns.variant)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except UnsupportedRoute as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_UNSUPPORTED
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_INPUT
-    except (GraphFormatError, GadgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # input errors, oracle caps and gadget rejections
         print(f"error: {exc}", file=sys.stderr)
         return ERR_INPUT
 

@@ -12,7 +12,6 @@ the per-set work of every shipped solver is polynomial.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -21,7 +20,6 @@ from .graphs import Graph
 from .roman import RomanFunction, Variant
 
 
-@dataclass
 class EnumerationStats:
     """Counters collected during one enumeration run.
 
@@ -29,15 +27,17 @@ class EnumerationStats:
     computed; max_consecutive_empty is the longest run of empty completion
     sets between nonempty ones; max_inter_output_work is the largest number
     of candidate sets examined between two consecutive outputs (or before
-    the first / after the last).
+    the first / after the last); seconds is the engine's own time, without
+    the time the consumer holds each output.
     """
 
-    outputs: int = 0
-    sets_explored: int = 0
-    empty_sets_explored: int = 0
-    max_consecutive_empty: int = 0
-    max_inter_output_work: int = 0
-    seconds: float = 0.0
+    def __init__(self) -> None:
+        self.outputs = 0
+        self.sets_explored = 0
+        self.empty_sets_explored = 0
+        self.max_consecutive_empty = 0
+        self.max_inter_output_work = 0
+        self.seconds = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -72,7 +72,9 @@ def iter_minimal(
         )
     st = stats if stats is not None else EnumerationStats()
     n = g.n
-    start = time.perf_counter()
+    clock = time.perf_counter
+    busy = 0.0  # engine time up to the last suspension
+    resumed = clock()
     work_since_output = 0
     consecutive_empty = 0
 
@@ -89,13 +91,17 @@ def iter_minimal(
             consecutive_empty = 0
 
     def drain(a: int) -> Iterator[Tuple[int, RomanFunction]]:
-        nonlocal work_since_output
+        nonlocal work_since_output, busy, resumed
         for f in solver.stream(a):
             st.outputs += 1
             if work_since_output > st.max_inter_output_work:
                 st.max_inter_output_work = work_since_output
             work_since_output = 0
-            yield a, f
+            busy += clock() - resumed
+            try:
+                yield a, f
+            finally:  # also when the consumer closes the stream here
+                resumed = clock()
 
     try:
         root_first = solver.first(0)
@@ -122,7 +128,7 @@ def iter_minimal(
         if work_since_output > st.max_inter_output_work:
             st.max_inter_output_work = work_since_output
     finally:
-        st.seconds = time.perf_counter() - start
+        st.seconds = busy + clock() - resumed
 
 
 def enumerate_minimal(

@@ -7,7 +7,6 @@ the rest of the package never allocates per-vertex containers in hot loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 MAX_VERTICES = 1 << 16
@@ -122,19 +121,28 @@ class CobipartitePartition(NamedTuple):
     c2: int
 
 
-@dataclass(frozen=True)
 class IntervalModel:
-    """Closed integer intervals, one per vertex, in vertex order."""
+    """Closed integer intervals, one per vertex, in vertex order.
 
-    intervals: tuple[tuple[int, int], ...]
+    Compared and hashed by its intervals.
+    """
 
-    def __post_init__(self):
-        for v, (lo, hi) in enumerate(self.intervals):
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple[tuple[int, int], ...]):
+        for v, (lo, hi) in enumerate(intervals):
             if lo > hi:
                 raise ValueError(f"interval for vertex {v} has lo > hi: [{lo},{hi}]")
+        self.intervals = intervals
 
     def __len__(self) -> int:
         return len(self.intervals)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntervalModel) and self.intervals == other.intervals
+
+    def __hash__(self) -> int:
+        return hash(self.intervals)
 
 
 # ---------------------------------------------------------------- set algebra

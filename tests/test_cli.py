@@ -5,6 +5,10 @@ pytest's capsys fixture.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,42 @@ def test_enumerate_interval_class_with_mismatch_warning(capsys, tmp_path):
     assert code == 0
     assert "intervals do not realize the graph's edge set exactly" in err
     assert len(out) == 13  # full minimal connected-variant count for this chain
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+from romanenum.cli import main
+graph, tmp = sys.argv[1], sys.argv[2]
+main(["enumerate", "--graph", graph, "--variant", "mrdf", "--stats", "--output", tmp + "/enum.txt"])
+main(["fixed-two", "--graph", graph, "--two-set", "0", "--output", tmp + "/two.txt"])
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+def test_enumerate_loads_only_what_it_runs(tmp_path, p4_file):
+    # a fresh interpreter, since this session has long since imported everything
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, p4_file, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert (tmp_path / "enum.txt").read_text().splitlines()[:7] == MRDF_P4_LINES
+    assert (tmp_path / "two.txt").read_text().splitlines() == ["2011"]
+    loaded = set(proc.stdout.split())
+    assert "romanenum.engine" in loaded
+    unused = {
+        "romanenum.oracle",
+        "romanenum.gadgets",
+        "romanenum.families",
+        "dataclasses",
+        "inspect",
+        "json",
+        "numpy",
+    }
+    assert loaded & unused == set()
 
 
 # -------------------------------------------------------------- fixed-two

@@ -1,6 +1,7 @@
 """Engine behaviour: completeness, pruning, delay counters, budgets."""
 
 import random
+import time
 
 import pytest
 
@@ -138,6 +139,26 @@ def test_external_stats_object_is_filled_in_place():
     pairs = list(iter_minimal(g, Variant.RDF, RdfSolver(g), stats=st))
     assert st.outputs == len(pairs) == 7
     assert st.seconds > 0.0
+
+
+def test_seconds_leave_out_the_consumer():
+    g = path_graph(4)
+    st = EnumerationStats()
+    pause = 0.02
+    pairs = 0
+    for _pair in iter_minimal(g, Variant.RDF, RdfSolver(g), stats=st):
+        pairs += 1
+        time.sleep(pause)
+    assert pairs == st.outputs == 7
+    assert 0.0 < st.seconds < pairs * pause
+
+    # closing the stream while it waits at an output stops the clock there too
+    st = EnumerationStats()
+    stream = iter_minimal(g, Variant.RDF, RdfSolver(g), stats=st)
+    next(stream)
+    time.sleep(0.05)
+    stream.close()
+    assert 0.0 < st.seconds < 0.05
 
 
 def test_interval_route_on_paths_matches_oracle_through_engine():

@@ -203,6 +203,17 @@ def test_interval_model_validation():
         IntervalModel(((2, 1),))
 
 
+def test_interval_model_equality_hash_and_len():
+    m = IntervalModel(((0, 2), (1, 4)))
+    same = IntervalModel(((0, 2), (1, 4)))
+    other = IntervalModel(((0, 2), (1, 5)))
+    assert m == same and hash(m) == hash(same)
+    assert m != other
+    assert m != ((0, 2), (1, 4))  # a model is not its tuple of intervals
+    assert len({m, same, other}) == 2
+    assert len(m) == 2 and len(IntervalModel(())) == 0
+
+
 def test_intersection_graph_matches_model():
     m = IntervalModel(((0, 2), (1, 4), (3, 6), (7, 8)))
     g = intersection_graph(m)
