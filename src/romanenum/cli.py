@@ -35,15 +35,15 @@ from .graphs import (
     parse_graph,
     parse_intervals,
     parse_vertex_set,
-    validate_interval_model,
 )
 from .roman import (
     UnsupportedRoute,
     Variant,
     format_function,
-    level_mask,
     minimality_report,
     parse_function,
+    pos_mask,
+    two_mask,
 )
 
 OK, ERR_INPUT, ERR_UNSUPPORTED, ERR_EMPTY = 0, 1, 2, 3
@@ -60,19 +60,10 @@ def _load_graph(ns: argparse.Namespace) -> Graph:
     return parse_graph(_read_text(ns.graph))
 
 
-def _load_model(ns: argparse.Namespace, g: Graph):
+def _load_model(ns: argparse.Namespace):
     if ns.intervals is None:
         return None
-    model = parse_intervals(_read_text(ns.intervals))
-    if len(model) != g.n:
-        raise GraphFormatError("interval file size does not match the graph")
-    if not validate_interval_model(g, model):
-        print(
-            "warning: intervals do not realize the graph's edge set exactly; "
-            "proceeding with their endpoint order",
-            file=sys.stderr,
-        )
-    return model
+    return parse_intervals(_read_text(ns.intervals))
 
 
 class _Out:
@@ -92,11 +83,12 @@ def _function_line(f, fmt: str) -> str:
     if fmt == "json":
         import json
 
+        two = two_mask(f)
         return json.dumps(
             {
                 "values": list(f),
-                "v2": list(bits(level_mask(f, 2))),
-                "v1": list(bits(level_mask(f, 1))),
+                "v2": list(bits(two)),
+                "v1": list(bits(pos_mask(f) & ~two)),
             },
             separators=(",", ":"),
         )
@@ -109,14 +101,7 @@ def _emit_stats(out: _Out, st: EnumerationStats) -> None:
 
 
 def _make_solver(ns: argparse.Namespace, g: Graph):
-    model = _load_model(ns, g)
-    return solver_for(
-        g,
-        ns.variant,
-        model=model,
-        class_hint=ns.graph_class,
-        validate_model=False,  # validated (with warning) in _load_model
-    )
+    return solver_for(g, ns.variant, model=_load_model(ns), class_hint=ns.class_hint)
 
 
 def cmd_enumerate(ns: argparse.Namespace) -> int:
@@ -332,7 +317,7 @@ def _bench_row(family: str, variant: Variant, n: int, p: float, seed: int) -> En
     if family == "gn":
         if variant is not Variant.CRDF:
             raise UnsupportedRoute("the gn family benches the interval crdf pipeline")
-        solver = IntervalConnectedSolver(g, model, validate=False)
+        solver = IntervalConnectedSolver(g, model)
         st = EnumerationStats()
         start = time.perf_counter()
         st.sets_explored = 1
@@ -341,7 +326,7 @@ def _bench_row(family: str, variant: Variant, n: int, p: float, seed: int) -> En
         st.max_inter_output_work = 1
         st.seconds = time.perf_counter() - start
         return st
-    solver = solver_for(g, variant, partition=part, model=model, validate_model=False)
+    solver = solver_for(g, variant, partition=part, model=model)
     st = EnumerationStats()
     for _pair in iter_minimal(g, variant, solver, stats=st):
         pass
@@ -381,14 +366,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all minimal functions of a variant")
     common(p)
-    p.add_argument("--class", dest="graph_class", choices=("auto", "general", "cobipartite", "interval"), default="auto")
+    p.add_argument("--class", dest="class_hint", choices=("auto", "general", "cobipartite", "interval"), default="auto")
     p.add_argument("--intervals", help="interval file (needed for --class interval)")
     p.add_argument("--limit", type=int, default=0, help="stop after this many functions")
     p.add_argument("--stats", action="store_true", help="append '# key=value' lines")
 
     p = sub.add_parser("fixed-two", help="stream the completions of one 2-set")
     common(p)
-    p.add_argument("--class", dest="graph_class", choices=("auto", "general", "cobipartite", "interval"), default="auto")
+    p.add_argument("--class", dest="class_hint", choices=("auto", "general", "cobipartite", "interval"), default="auto")
     p.add_argument("--intervals")
     p.add_argument("--two-set", required=True, help="comma-separated vertices, '' for the empty set")
     p.add_argument("--limit", type=int, default=0)

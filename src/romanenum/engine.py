@@ -55,15 +55,10 @@ def iter_minimal(
     variant: Variant,
     solver: FixedTwoSolver,
     *,
-    prune: bool = True,
     stats: Optional[EnumerationStats] = None,
 ) -> Iterator[Tuple[int, RomanFunction]]:
     """Yield (two_set, function) pairs for every minimal function of the
-    variant, grouped by 2-set, each exactly once.
-
-    prune=False disables subtree pruning (every subset of V is considered);
-    it exists so tests can confirm pruning loses nothing.
-    """
+    variant, grouped by 2-set, each exactly once."""
     if solver.graph is not g:
         raise ValueError("solver is bound to a different graph")
     if solver.variant is not variant:
@@ -106,10 +101,8 @@ def iter_minimal(
     try:
         root_first = solver.first(0)
         note(root_first is None)
-        nonempty_root = root_first is not None
-        if nonempty_root:
+        if root_first is not None:
             yield from drain(0)
-        if nonempty_root or not prune:
             stack: List[Tuple[int, int]] = [(0, 0)]
             while stack:
                 a, nxt = stack[-1]
@@ -123,8 +116,6 @@ def iter_minimal(
                 if fb is not None:
                     yield from drain(b)
                     stack.append((b, nxt + 1))
-                elif not prune:
-                    stack.append((b, nxt + 1))
         if work_since_output > st.max_inter_output_work:
             st.max_inter_output_work = work_since_output
     finally:
@@ -136,12 +127,10 @@ def enumerate_minimal(
     variant: Variant,
     solver: FixedTwoSolver,
     sink: Optional[Callable[[RomanFunction], None]] = None,
-    *,
-    prune: bool = True,
 ) -> EnumerationStats:
     """Run the full enumeration, feeding each function to sink; returns stats."""
     st = EnumerationStats()
-    for _a, f in iter_minimal(g, variant, solver, prune=prune, stats=st):
+    for _a, f in iter_minimal(g, variant, solver, stats=st):
         if sink is not None:
             sink(f)
     return st
@@ -152,12 +141,10 @@ def enumerate_with_budget(
     variant: Variant,
     solver: FixedTwoSolver,
     limit: int,
-    *,
-    prune: bool = True,
 ) -> Tuple[List[RomanFunction], EnumerationStats]:
     """Collect at most limit functions (limit <= 0 means no cap)."""
     st = EnumerationStats()
-    it = iter_minimal(g, variant, solver, prune=prune, stats=st)
+    it = iter_minimal(g, variant, solver, stats=st)
     if limit > 0:
         pairs = list(islice(it, limit))
         it.close()

@@ -37,39 +37,24 @@ def path_interval_model(n: int) -> IntervalModel:
 
 def double_link_chain(n: int) -> tuple[Graph, IntervalModel, int]:
     """Chain of n anchors where consecutive anchors are joined through a pair
-    of parallel connector vertices.
+    of parallel connector vertices, as the intersection graph of its layout.
 
     Anchors occupy indices 0..n-1; the connector pair between anchors i and
-    i+1 occupies indices n+2*i and n+2*i+1.  The two connectors of a pair are
-    NOT adjacent to each other.  Also returns an interval layout (anchor i at
-    [10i+7, 10i+13], connectors of gap i at [10i+12, 10i+18]) and the seed
-    set holding every even-position anchor.
-
-    Note the layout places the two connectors of one gap on identical
-    intervals, so its intersection graph has one extra edge per gap compared
-    to the chain itself; validate_interval_model therefore reports False for
-    n >= 2.  The interval machinery only consumes the endpoint ordering, and
-    the enumeration on this family is cross-checked against the oracle in the
-    test suite.
+    i+1 occupies indices n+2*i and n+2*i+1.  Anchor i sits at [10i+7, 10i+13]
+    and both connectors of gap i at [10i+12, 10i+18], so each connector meets
+    the two anchors it joins and its twin.  Also returns the layout and the
+    seed set holding every even-position anchor.
     """
     if n < 1:
         raise ValueError("need at least one anchor")
-    edges = []
-    for i in range(n - 1):
-        u1 = n + 2 * i
-        u2 = n + 2 * i + 1
-        edges.append((i, u1))
-        edges.append((i, u2))
-        edges.append((i + 1, u1))
-        edges.append((i + 1, u2))
-    g = Graph(n + 2 * (n - 1), edges)
     intervals = [(10 * (i + 1) - 3, 10 * (i + 1) + 3) for i in range(n)]
     for i in range(n - 1):
         iv = (10 * (i + 1) + 2, 10 * (i + 1) + 8)
         intervals.append(iv)
         intervals.append(iv)
+    model = IntervalModel(tuple(intervals))
     a = mask_of(i for i in range(1, n, 2))
-    return g, IntervalModel(tuple(intervals)), a
+    return intersection_graph(model), model, a
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -48,26 +48,15 @@ from .roman import (
     Variant,
     canonical_rdf,
     function_from_masks,
-    is_minimal_variant,
+    is_minimal_variant,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
     valid_two_set,
 )
-
-# when set, every solver re-checks each yielded function against the
-# minimality predicate (used by tests; off by default for speed)
-VERIFY_YIELDS = False
-
-
-def _checked(g: Graph, variant: Variant, f: RomanFunction) -> RomanFunction:
-    if VERIFY_YIELDS:
-        assert is_minimal_variant(g, f, variant), f
-    return f
 
 
 class FixedTwoSolver:
     """Base class: a solver is bound to one graph and one variant."""
 
     variant: Variant
-    graph_class = "general"
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -78,9 +67,6 @@ class FixedTwoSolver:
     def first(self, a: int) -> Optional[RomanFunction]:
         return next(iter(self.stream(a)), None)
 
-    def cardinality_bound(self, n: int) -> Optional[int]:
-        return None
-
 
 class RdfSolver(FixedTwoSolver):
     """C(A) is {canonical rdf of A} when A is a valid 2-set, else empty."""
@@ -89,15 +75,12 @@ class RdfSolver(FixedTwoSolver):
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         if valid_two_set(self.graph, a):
-            yield _checked(self.graph, self.variant, canonical_rdf(self.graph, a))
+            yield canonical_rdf(self.graph, a)
 
     def first(self, a: int) -> Optional[RomanFunction]:
         if valid_two_set(self.graph, a):
             return canonical_rdf(self.graph, a)
         return None
-
-    def cardinality_bound(self, n: int) -> int:
-        return 1
 
 
 class MrdfSolver(FixedTwoSolver):
@@ -118,7 +101,7 @@ class MrdfSolver(FixedTwoSolver):
         ctx = TwoSetContext(g, a, self.variant)
         m0 = g.full & ~ctx.pos0
         if not is_dominating(g, m0):
-            yield _checked(g, self.variant, function_from_masks(g.n, a, ctx.pos0))
+            yield function_from_masks(g.n, a, ctx.pos0)
             return
         seen = set()
         for v in range(g.n):
@@ -129,10 +112,7 @@ class MrdfSolver(FixedTwoSolver):
                 continue
             seen.add(pos)
             if ctx.minimal(pos):
-                yield _checked(g, self.variant, function_from_masks(g.n, a, pos))
-
-    def cardinality_bound(self, n: int) -> int:
-        return n
+                yield function_from_masks(g.n, a, pos)
 
 
 class CobipartiteSolver(FixedTwoSolver):
@@ -142,8 +122,6 @@ class CobipartiteSolver(FixedTwoSolver):
     0-vertices, so the candidate space is quadratic and the minimality
     predicate does the filtering.
     """
-
-    graph_class = "cobipartite"
 
     def __init__(self, g: Graph, variant: Variant, part=None):
         super().__init__(g)
@@ -168,10 +146,7 @@ class CobipartiteSolver(FixedTwoSolver):
         raised = chain([0], zeros, (v | u for v, u in combinations(zeros, 2)))
         for x in raised:
             if ctx.minimal(pos0 | x):
-                yield _checked(g, self.variant, function_from_masks(g.n, a, pos0 | x))
-
-    def cardinality_bound(self, n: int) -> int:
-        return n * n + n + 1
+                yield function_from_masks(g.n, a, pos0 | x)
 
 
 class WindowTables:
@@ -307,40 +282,34 @@ def fewest_connectors(model: IntervalModel, pos: int, spare) -> Optional[int]:
 class IntervalConnectedSolver(FixedTwoSolver):
     """Connected completions on interval graphs with polynomial delay.
 
-    Per 2-set A, the solver first counts the fewest 0-vertex intervals that
-    close every gap in the union of the canonical positive set's intervals
+    The model must realize the graph: a model of the wrong size is a
+    ValueError, any other mismatch an UnsupportedRoute, because the gap bound
+    and the window DAG read connectivity off the intervals.  Per 2-set A,
+    the solver first counts the fewest 0-vertex intervals that close every
+    gap in the union of the canonical positive set's intervals
     (fewest_connectors); raised sets below that size cannot be connected and
-    are never tested.  The bound is used only when every edge of the graph
-    joins meeting intervals.  Completion sets of size at most 3 are then
-    scanned directly against the 2-set's TwoSetContext.  Larger ones are
+    are never tested.  Completion sets of size at most 3 are then scanned
+    directly against the 2-set's TwoSetContext.  Larger ones are
     source-to-sink paths in a DAG whose nodes are window-passing triples;
     restricting the walk to nodes that can reach a sink keeps the delay
     polynomial.  A node's successors are read off one WindowTables mask
     (at most three breadth-first searches per node, two of them shared), and
     the start nodes off one mask per pair of 0-vertices, taken in
     lexicographic order, so the walk reaches its first sink after a number
-    of searches linear in the nodes it expands.  Both DAG walks use explicit stacks, so their
-    depth, which grows with the number of raised vertices, is not bounded
-    by Python's recursion limit.
+    of searches linear in the nodes it expands.  Both DAG walks use explicit
+    stacks, so their depth, which grows with the number of raised vertices,
+    is not bounded by Python's recursion limit.
     """
 
-    graph_class = "interval"
     variant = Variant.CRDF
 
-    def __init__(self, g: Graph, model: IntervalModel, validate: bool = True):
+    def __init__(self, g: Graph, model: IntervalModel):
         super().__init__(g)
         if len(model) != g.n:
             raise ValueError("interval model size does not match the graph")
-        if validate and not validate_interval_model(g, model):
-            raise ValueError("interval model does not match the graph")
+        if not validate_interval_model(g, model):
+            raise UnsupportedRoute("interval model does not realize the graph")
         self.model = model
-        # the gap bound holds when every edge of g joins meeting intervals,
-        # as in any model that realises g; an edge between disjoint
-        # intervals can connect what the union of intervals leaves apart
-        iv = model.intervals
-        self.gap_bound = all(
-            max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1]) for u, v in g.edges()
-        )
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         g = self.graph
@@ -349,14 +318,14 @@ class IntervalConnectedSolver(FixedTwoSolver):
         ctx = TwoSetContext(g, a, self.variant)
         iv = self.model.intervals
         universe = sorted(bits(g.full & ~ctx.pos0), key=lambda v: (iv[v][0], iv[v][1], v))
-        fewest = fewest_connectors(self.model, ctx.pos0, universe) if self.gap_bound else 0
+        fewest = fewest_connectors(self.model, ctx.pos0, universe)
         if fewest is None:
             return
         for k in range(fewest, min(3, len(universe)) + 1):
             for combo in combinations(universe, k):
                 pos = ctx.pos0 | mask_of(combo)
                 if ctx.minimal(pos):
-                    yield _checked(g, self.variant, function_from_masks(g.n, a, pos))
+                    yield function_from_masks(g.n, a, pos)
         if len(universe) >= 4:
             yield from self._large_stream(ctx, universe, WindowTables(g, self.model, ctx))
 
@@ -429,7 +398,7 @@ class IntervalConnectedSolver(FixedTwoSolver):
                     if reaches_sink(nxt):
                         pos = raised[-1] | bit(universe[nxt[2]])
                         if is_sink(nxt):
-                            yield _checked(g, self.variant, function_from_masks(g.n, ctx.a, pos))
+                            yield function_from_masks(g.n, ctx.a, pos)
                         raised.append(pos)
                         todo.append(iter(successors(nxt)))
                         break
@@ -446,9 +415,6 @@ class IntervalConnectedSolver(FixedTwoSolver):
                 if tables.start_ok(x, y, universe[k]) and reaches_sink(node):
                     yield from walk(node)
 
-    def cardinality_bound(self, n: int) -> Optional[int]:
-        return None
-
 
 def solver_for(
     g: Graph,
@@ -456,7 +422,6 @@ def solver_for(
     partition=None,
     model: Optional[IntervalModel] = None,
     class_hint: str = "auto",
-    validate_model: bool = True,
 ) -> FixedTwoSolver:
     """Pick the solver for a (variant, graph class) combination.
 
@@ -486,12 +451,12 @@ def solver_for(
         if class_hint == "interval":
             if model is None:
                 raise UnsupportedRoute("interval routing needs an interval model")
-            return IntervalConnectedSolver(g, model, validate=validate_model)
+            return IntervalConnectedSolver(g, model)
         if class_hint == "auto":
             if partition is not None or recognize_cobipartite(g) is not None:
                 return CobipartiteSolver(g, variant, partition)
             if model is not None:
-                return IntervalConnectedSolver(g, model, validate=validate_model)
+                return IntervalConnectedSolver(g, model)
             raise UnsupportedRoute(
                 "crdf enumeration needs a cobipartite graph or an interval model; "
                 "on general graphs even non-emptiness is NP-complete"

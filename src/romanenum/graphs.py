@@ -259,11 +259,12 @@ def has_universal_vertex(g: Graph) -> bool:
     return any(g.cadj[v] == g.full for v in range(g.n))
 
 
-def bipartition(g: Graph) -> Optional[tuple[int, int]]:
-    """Two-color the graph; returns the color-class masks or None."""
-    color = [-1] * g.n
+def _two_color(rows) -> Optional[tuple[int, int]]:
+    """Two-color the graph with adjacency rows `rows`; returns the color-class
+    masks or None."""
+    color = [-1] * len(rows)
     parts = [0, 0]
-    for start in range(g.n):
+    for start in range(len(rows)):
         if color[start] != -1:
             continue
         color[start] = 0
@@ -271,7 +272,7 @@ def bipartition(g: Graph) -> Optional[tuple[int, int]]:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in bits(g.adj[v]):
+            for u in bits(rows[v]):
                 if color[u] == -1:
                     color[u] = 1 - color[v]
                     parts[color[u]] |= bit(u)
@@ -281,31 +282,19 @@ def bipartition(g: Graph) -> Optional[tuple[int, int]]:
     return parts[0], parts[1]
 
 
+def bipartition(g: Graph) -> Optional[tuple[int, int]]:
+    """Two-color the graph; returns the color-class masks or None."""
+    return _two_color(g.adj)
+
+
 def recognize_cobipartite(g: Graph) -> Optional[CobipartitePartition]:
     """Partition the vertices into two cliques, or None if impossible.
 
     Works by two-coloring the complement graph; an arbitrary valid partition
     is returned when several exist.
     """
-    comp_adj = [g.full & ~g.cadj[v] for v in range(g.n)]
-    color = [-1] * g.n
-    parts = [0, 0]
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        parts[0] |= bit(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in bits(comp_adj[v]):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    parts[color[u]] |= bit(u)
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    return CobipartitePartition(parts[0], parts[1])
+    parts = _two_color([g.full & ~row for row in g.cadj])
+    return None if parts is None else CobipartitePartition(*parts)
 
 
 def validate_cobipartite(g: Graph, part: CobipartitePartition) -> bool:
@@ -316,17 +305,7 @@ def validate_cobipartite(g: Graph, part: CobipartitePartition) -> bool:
 
 def validate_interval_model(g: Graph, m: IntervalModel) -> bool:
     """True iff the intervals realize exactly the edges of g."""
-    if len(m) != g.n:
-        return False
-    iv = m.intervals
-    for u in range(g.n):
-        lu, ru = iv[u]
-        for v in range(u + 1, g.n):
-            lv, rv = iv[v]
-            meets = max(lu, lv) <= min(ru, rv)
-            if meets != g.has_edge(u, v):
-                return False
-    return True
+    return intersection_graph(m) == g
 
 
 def intersection_graph(m: IntervalModel) -> Graph:

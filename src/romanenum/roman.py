@@ -57,14 +57,6 @@ def format_function(f: RomanFunction) -> str:
     return "".join(str(v) for v in f)
 
 
-def level_mask(f: RomanFunction, value: int) -> int:
-    m = 0
-    for v, val in enumerate(f):
-        if val == value:
-            m |= 1 << v
-    return m
-
-
 def pos_mask(f: RomanFunction) -> int:
     """Mask of vertices with positive value."""
     m = 0

@@ -262,14 +262,14 @@ def test_criterion_08_chain_family_doubling(capfd):
     details = []
     for n, expected in ((3, 4), (4, 8)):
         g, model, seed = double_link_chain(n)
-        solver = IntervalConnectedSolver(g, model, validate=False)
+        solver = IntervalConnectedSolver(g, model)
         got = set(solver.stream(seed))
         assert got == oracle_fixed_two(g, Variant.CRDF, seed, cap=g.n)
         assert len(got) == expected, (n, len(got))
         details.append(f"{n}:{len(got)}")
     for n, expected in ((5, 16), (6, 32)):
         g, model, seed = double_link_chain(n)
-        solver = IntervalConnectedSolver(g, model, validate=False)
+        solver = IntervalConnectedSolver(g, model)
         count = sum(1 for _ in solver.stream(seed))
         assert count == expected, (n, count)
         details.append(f"{n}:{count}")

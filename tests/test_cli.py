@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from romanenum.cli import main
-from romanenum.families import double_link_chain
+from romanenum.families import path_interval_model
 from romanenum.gadgets import gadget_maxrd_from_extds
-from romanenum.graphs import bit, format_graph, format_intervals, parse_graph
-from romanenum.roman import format_function
+from romanenum.graphs import Graph, bit, format_graph, format_intervals, parse_graph
+from romanenum.oracle import oracle_all_minimal
+from romanenum.roman import Variant, format_function
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 
@@ -107,23 +108,45 @@ def test_enumerate_missing_graph(capsys, tmp_path):
     assert "no graph file" in err
 
 
-def test_enumerate_interval_class_with_mismatch_warning(capsys, tmp_path):
-    g, model, _seed = double_link_chain(2)
+def test_interval_class_refuses_a_model_that_misses_an_edge(capsys, tmp_path):
+    # a path on 0..10 with the chord 3-9, given the path's layout: answers
+    # read off the layout would miss functions, so both commands refuse
+    g = Graph(11, [(i, i + 1) for i in range(10)] + [(3, 9)])
     (tmp_path / "g.graph").write_text(format_graph(g))
-    (tmp_path / "g.intervals").write_text(format_intervals(model))
+    (tmp_path / "g.intervals").write_text(format_intervals(path_interval_model(11)))
+    route = [
+        "--graph", str(tmp_path / "g.graph"),
+        "--variant", "crdf",
+        "--class", "interval",
+        "--intervals", str(tmp_path / "g.intervals"),
+    ]
+    for argv in (["enumerate", *route], ["fixed-two", *route, "--two-set", "3"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == []
+        assert err == "error: interval model does not realize the graph\n"
+
+
+def test_enumerate_interval_class_on_the_gn_family(capsys, tmp_path):
+    prefix = str(tmp_path / "chain")
+    code, _, _ = run(capsys, ["gen", "--family", "gn", "--n", "2", "--out", prefix])
+    assert code == 0
     code, out, err = run(
         capsys,
         [
             "enumerate",
-            "--graph", str(tmp_path / "g.graph"),
+            "--graph", prefix + ".graph",
             "--variant", "crdf",
             "--class", "interval",
-            "--intervals", str(tmp_path / "g.intervals"),
+            "--intervals", prefix + ".intervals",
         ],
     )
     assert code == 0
-    assert "intervals do not realize the graph's edge set exactly" in err
-    assert len(out) == 13  # full minimal connected-variant count for this chain
+    assert err == ""
+    g = parse_graph((tmp_path / "chain.graph").read_text())
+    want = oracle_all_minimal(g, Variant.CRDF)
+    assert len(out) == len(want) == 7
+    assert set(out) == {format_function(f) for f in want}
 
 
 FOOTPRINT_SCRIPT = """

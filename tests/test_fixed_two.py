@@ -1,7 +1,7 @@
 """Completion solvers versus the oracle, routing, and structural bounds.
 
-conftest switches on VERIFY_YIELDS, so every function a solver emits is also
-re-checked against the minimality predicate as it leaves the stream.
+conftest wraps every solver's stream, so every function a solver emits is
+also re-checked against the minimality predicate as it leaves the stream.
 """
 
 import random
@@ -43,6 +43,7 @@ from romanenum.graphs import (
     is_connected_set,
     mask_of,
     same_component,
+    validate_interval_model,
 )
 from romanenum.oracle import oracle_all_minimal, oracle_fixed_two
 from romanenum.roman import (
@@ -55,12 +56,20 @@ from romanenum.roman import (
 )
 
 
+# the most completions one 2-set can have, per solver, on n vertices
+CARDINALITY_BOUNDS = {
+    RdfSolver: lambda n: 1,
+    MrdfSolver: lambda n: n,
+    CobipartiteSolver: lambda n: n * n + n + 1,
+}
+
+
 def stream_set(solver, a):
     out = list(solver.stream(a))
     assert len(out) == len(set(out)), "solver emitted a duplicate"
-    bound = solver.cardinality_bound(solver.graph.n)
+    bound = CARDINALITY_BOUNDS.get(type(solver))
     if bound is not None:
-        assert len(out) <= bound
+        assert len(out) <= bound(solver.graph.n)
     for f in out:
         assert two_mask(f) == a
     first = solver.first(a)
@@ -68,6 +77,21 @@ def stream_set(solver, a):
     if out:
         assert first in out
     return set(out)
+
+
+def test_yield_check_catches_a_wrong_yield(monkeypatch):
+    # the conftest wrapper must reject a function that is not minimal: here
+    # every built function has its first 0 raised to 1
+    build = fixed_two.function_from_masks
+
+    def corrupted(n, two, pos):
+        f = list(build(n, two, pos))
+        f[f.index(0)] = 1
+        return tuple(f)
+
+    monkeypatch.setattr(fixed_two, "function_from_masks", corrupted)
+    with pytest.raises(AssertionError):
+        list(MrdfSolver(path_graph(4)).stream(bit(0)))
 
 
 # ----------------------------------------------------------------- routing
@@ -83,9 +107,7 @@ def test_routing_table():
     assert isinstance(solver_for(p5, Variant.MRDF), MrdfSolver)
     assert isinstance(solver_for(k4, Variant.TRDF), CobipartiteSolver)
     assert isinstance(solver_for(k4, Variant.CRDF), CobipartiteSolver)
-    got = solver_for(p5, Variant.CRDF, model=model5)
-    assert isinstance(got, IntervalConnectedSolver)
-    assert got.graph_class == "interval"
+    assert isinstance(solver_for(p5, Variant.CRDF, model=model5), IntervalConnectedSolver)
 
     with pytest.raises(UnsupportedRoute):
         solver_for(p5, Variant.RDF, class_hint="cobipartite")
@@ -294,10 +316,10 @@ def test_window_masks_match_the_connectivity_probes():
 
 
 def test_double_link_chain_full_enumeration_matches_oracle():
-    expected_totals = {2: 13, 3: 41}
+    expected_totals = {2: 7, 3: 37}
     for n, total in expected_totals.items():
         g, model, _ = double_link_chain(n)
-        solver = IntervalConnectedSolver(g, model, validate=False)
+        solver = IntervalConnectedSolver(g, model)
         union = set()
         for a in range(1 << g.n):
             union |= stream_set(solver, a)
@@ -308,37 +330,41 @@ def test_double_link_chain_full_enumeration_matches_oracle():
 def test_double_link_chain_seed_counts_double():
     for n in range(2, 7):
         g, model, seed = double_link_chain(n)
-        solver = IntervalConnectedSolver(g, model, validate=False)
+        solver = IntervalConnectedSolver(g, model)
         assert len(stream_set(solver, seed)) == 2 ** (n - 1)
 
 
 def test_chain_layout_is_rejected_by_validation():
-    g, model, seed = double_link_chain(3)
-    with pytest.raises(ValueError):
-        IntervalConnectedSolver(g, model)  # identical connector intervals add edges
-    # validation can be waived explicitly, and routing honors the waiver
-    solver = solver_for(g, Variant.CRDF, model=model, class_hint="interval", validate_model=False)
-    assert isinstance(solver, IntervalConnectedSolver)
-    with pytest.raises(ValueError):
-        solver_for(g, Variant.CRDF, model=model, class_hint="interval")
+    # the chain is its layout's intersection graph, so the layout validates
+    g, model, _ = double_link_chain(3)
+    assert validate_interval_model(g, model)
+    assert isinstance(solver_for(g, Variant.CRDF, model=model), IntervalConnectedSolver)
+    # without the edge inside each connector pair the layout no longer
+    # realizes the graph, and both the solver and the routing refuse it
+    pairs = {(3 + 2 * gap, 4 + 2 * gap) for gap in range(2)}
+    unpaired = Graph(g.n, [e for e in g.edges() if e not in pairs])
+    assert unpaired.edge_count() == g.edge_count() - 2
+    with pytest.raises(UnsupportedRoute):
+        IntervalConnectedSolver(unpaired, model)
+    with pytest.raises(UnsupportedRoute):
+        solver_for(unpaired, Variant.CRDF, model=model, class_hint="interval")
 
 
 def test_chord_the_model_does_not_show_still_connects():
     # the path layout misses the chord 0-4, which connects 0, 1, 2 and 4
-    # with one raised vertex where the layout needs two
+    # with one raised vertex where the layout needs two; answers read off
+    # that layout would be wrong, so the solver refuses it
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    solver = IntervalConnectedSolver(g, path_interval_model(5), validate=False)
-    want = oracle_fixed_two(g, Variant.CRDF, bit(2))
-    assert (1, 1, 2, 0, 1) in want
-    assert stream_set(solver, bit(2)) == want
+    assert (1, 1, 2, 0, 1) in oracle_fixed_two(g, Variant.CRDF, bit(2))
+    with pytest.raises(UnsupportedRoute):
+        IntervalConnectedSolver(g, path_interval_model(5))
 
 
 def test_window_tables_size_mismatch():
-    g = path_graph(4)
-    with pytest.raises(ValueError):
-        IntervalConnectedSolver(g, path_interval_model(5))
-    with pytest.raises(ValueError):
-        IntervalConnectedSolver(g, path_interval_model(5), validate=False)
+    # an input error (exit 1 in the CLI), not an unsupported route (exit 2)
+    with pytest.raises(ValueError) as err:
+        IntervalConnectedSolver(path_graph(4), path_interval_model(5))
+    assert not isinstance(err.value, UnsupportedRoute)
 
 
 # -------------------------------------------------------------- monotonicity
@@ -407,7 +433,7 @@ def test_large_interval_completions_use_window_route():
     # the seed set of a 5-anchor chain forces one raised connector per gap:
     # completion sets of size 4, which go through the path-in-DAG route
     g, model, seed = double_link_chain(5)
-    solver = IntervalConnectedSolver(g, model, validate=False)
+    solver = IntervalConnectedSolver(g, model)
     out = stream_set(solver, seed)
     assert len(out) == 16
     base = canonical_rdf(g, seed)
@@ -421,7 +447,7 @@ def test_large_interval_completions_use_window_route():
 
 def test_long_chain_first_output_is_fast():
     g, model, seed = double_link_chain(40)
-    solver = IntervalConnectedSolver(g, model, validate=False)
+    solver = IntervalConnectedSolver(g, model)
     t0 = time.perf_counter()
     first = solver.first(seed)
     elapsed = time.perf_counter() - t0
@@ -446,7 +472,7 @@ def test_first_output_probe_count_grows_linearly(monkeypatch):
     for anchors in (20, 40, 80, 160):
         g, model, seed = double_link_chain(anchors)
         searches = 0
-        first = IntervalConnectedSolver(g, model, validate=False).first(seed)
+        first = IntervalConnectedSolver(g, model).first(seed)
         assert first is not None and two_mask(first) == seed
         counts.append(searches)
     for small, large in zip(counts, counts[1:]):
@@ -457,7 +483,7 @@ def test_long_chain_streams_under_a_low_recursion_limit():
     # raised sets of 119 members: a recursive DAG walk would need a frame
     # per member
     g, model, seed = double_link_chain(120)
-    solver = IntervalConnectedSolver(g, model, validate=False)
+    solver = IntervalConnectedSolver(g, model)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
     try:

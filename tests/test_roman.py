@@ -24,7 +24,6 @@ from romanenum.roman import (
     is_minimal_variant,
     is_variant,
     leq,
-    level_mask,
     minimality_report,
     parse_function,
     pos_mask,
@@ -51,11 +50,10 @@ def test_function_text_round_trip():
 
 def test_level_masks_and_weight():
     f = (2, 0, 1, 1, 2)
-    assert level_mask(f, 0) == 0b00010
-    assert level_mask(f, 1) == 0b01100
-    assert level_mask(f, 2) == 0b10001
+    assert ~pos_mask(f) & 0b11111 == 0b00010  # value 0
+    assert pos_mask(f) & ~two_mask(f) == 0b01100  # value 1
+    assert two_mask(f) == 0b10001  # value 2
     assert pos_mask(f) == 0b11101
-    assert two_mask(f) == 0b10001
     assert weight(f) == 6
 
 
