@@ -8,7 +8,6 @@ Subcommands:
   check       explain whether one function is (minimally) of a variant
   gadget      build a reduction instance (graph + labels + 2-set/function)
   gen         write a generated instance from a named family
-  bench       growth sweep over a family, CSV on stdout
 
 Exit codes: 0 success (or nonempty result), 1 input/parse/cap trouble,
 2 unsupported variant/graph-class combination, 3 empty result where
@@ -24,7 +23,7 @@ import time
 from typing import Optional, Sequence
 
 from .engine import EnumerationStats, iter_minimal
-from .fixed_two import IntervalConnectedSolver, solver_for
+from .fixed_two import solver_for
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -306,51 +305,6 @@ def cmd_gen(ns: argparse.Namespace) -> int:
         out.close()
 
 
-BENCH_COLUMNS = (
-    "family,variant,n,seed,outputs,sets_explored,empty_sets_explored,"
-    "max_consecutive_empty,max_inter_output_work,seconds"
-)
-
-
-def _bench_row(family: str, variant: Variant, n: int, p: float, seed: int) -> EnumerationStats:
-    g, model, part, dset = _family_instance(family, n, p, seed)
-    if family == "gn":
-        if variant is not Variant.CRDF:
-            raise UnsupportedRoute("the gn family benches the interval crdf pipeline")
-        solver = IntervalConnectedSolver(g, model)
-        st = EnumerationStats()
-        start = time.perf_counter()
-        st.sets_explored = 1
-        for _f in solver.stream(dset):
-            st.outputs += 1
-        st.max_inter_output_work = 1
-        st.seconds = time.perf_counter() - start
-        return st
-    solver = solver_for(g, variant, partition=part, model=model)
-    st = EnumerationStats()
-    for _pair in iter_minimal(g, variant, solver, stats=st):
-        pass
-    return st
-
-
-def cmd_bench(ns: argparse.Namespace) -> int:
-    family = ns.family
-    out = _Out(ns.output)
-    try:
-        out.line(BENCH_COLUMNS)
-        for n in range(ns.n_min, ns.n_max + 1, ns.step):
-            st = _bench_row(family, ns.variant, n, ns.p, ns.seed)
-            d = st.as_dict()
-            out.line(
-                f"{family},{ns.variant.value},{n},{ns.seed},{d['outputs']},"
-                f"{d['sets_explored']},{d['empty_sets_explored']},"
-                f"{d['max_consecutive_empty']},{d['max_inter_output_work']},{d['seconds']}"
-            )
-        return OK
-    finally:
-        out.close()
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="romanenum",
@@ -410,17 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write PREFIX.graph (+ PREFIX.intervals)")
     p.add_argument("--output")
 
-    p = sub.add_parser("bench", help="growth sweep over a family (CSV)")
-    p.add_argument("--family", required=True, choices=(
-        "path", "random", "connected-random", "cobipartite-random", "interval-random", "gn"))
-    p.add_argument("--variant", choices=("rdf", "mrdf", "trdf", "crdf"), default="rdf")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-
     return top
 
 
@@ -431,7 +374,6 @@ _COMMANDS = {
     "check": cmd_check,
     "gadget": cmd_gadget,
     "gen": cmd_gen,
-    "bench": cmd_bench,
 }
 
 
@@ -440,6 +382,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(ns, "variant", None):
         ns.variant = Variant(ns.variant)
     try:
+        if getattr(ns, "limit", 0) < 0:
+            raise ValueError("--limit must not be negative")
         return _COMMANDS[ns.command](ns)
     except UnsupportedRoute as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,7 @@ the per-set work of every shipped solver is polynomial.
 from __future__ import annotations
 
 import time
-from itertools import islice
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .fixed_two import FixedTwoSolver
 from .graphs import Graph
@@ -120,34 +119,3 @@ def iter_minimal(
             st.max_inter_output_work = work_since_output
     finally:
         st.seconds = busy + clock() - resumed
-
-
-def enumerate_minimal(
-    g: Graph,
-    variant: Variant,
-    solver: FixedTwoSolver,
-    sink: Optional[Callable[[RomanFunction], None]] = None,
-) -> EnumerationStats:
-    """Run the full enumeration, feeding each function to sink; returns stats."""
-    st = EnumerationStats()
-    for _a, f in iter_minimal(g, variant, solver, stats=st):
-        if sink is not None:
-            sink(f)
-    return st
-
-
-def enumerate_with_budget(
-    g: Graph,
-    variant: Variant,
-    solver: FixedTwoSolver,
-    limit: int,
-) -> Tuple[List[RomanFunction], EnumerationStats]:
-    """Collect at most limit functions (limit <= 0 means no cap)."""
-    st = EnumerationStats()
-    it = iter_minimal(g, variant, solver, stats=st)
-    if limit > 0:
-        pairs = list(islice(it, limit))
-        it.close()
-    else:
-        pairs = list(it)
-    return [f for _a, f in pairs], st

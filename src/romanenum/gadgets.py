@@ -63,9 +63,6 @@ class GadgetInstance:
     source: object
     certificates: dict = field(default_factory=dict)
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v]
-
     def vertex_named(self, label: str) -> int:
         return self.labels.index(label)
 

@@ -174,16 +174,6 @@ def private_neighbors(g: Graph, a: int, v: int) -> int:
     return g.cadj[v] & ~closed_neighborhood(g, a & ~bit(v))
 
 
-def private_neighbors_within(g: Graph, allowed: int, a: int, v: int) -> int:
-    """Private neighbors of v w.r.t. a inside the induced subgraph G[allowed].
-
-    Both v and the other members of a are assumed to lie inside `allowed`.
-    """
-    if not a >> v & 1:
-        raise ValueError(f"vertex {v} is not in the set")
-    return g.cadj[v] & allowed & ~(closed_neighborhood(g, a & ~bit(v)) & allowed)
-
-
 def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the mask, plus the new-index -> old-index table."""
     old = tuple(bits(s))

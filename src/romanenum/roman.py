@@ -254,11 +254,11 @@ def is_minimal_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
     """
     if variant is Variant.PRDF:
         raise UnsupportedRoute("no minimality characterization for prdf")
+    if len(f) != g.n:
+        raise ValueError("function length does not match graph order")
     a = two_mask(f)
     if variant is Variant.RDF:
         return valid_two_set(g, a) and f == canonical_rdf(g, a)
-    if len(f) != g.n:
-        raise ValueError("function length does not match graph order")
     return TwoSetContext(g, a, variant).minimal(pos_mask(f))
 
 
@@ -300,34 +300,24 @@ def extension_check(
     g: Graph,
     f: RomanFunction,
     variant: Variant,
-    mode: str = "fast",
-    cap: int = 12,
     partition=None,
     model=None,
 ) -> bool:
     """Is there a minimal function of the variant that dominates f pointwise?
 
-    fast mode requires that no 1-vertex of f touch a 2-vertex; the answer
-    then coincides with non-emptiness of the fixed-two-set completion at the
-    2-set of f, computed by the matching solver.  oracle mode brute-forces
-    the minimal functions (n <= cap).
+    Requires that no 1-vertex of f touch a 2-vertex; the answer then
+    coincides with non-emptiness of the fixed-two-set completion at the
+    2-set of f, computed by the matching solver.  The brute-force reference
+    is oracle.exists_minimal_geq.
     """
     if len(f) != g.n:
         raise ValueError("function length does not match graph order")
-    if mode == "oracle":
-        if g.n > cap:
-            raise ValueError(f"oracle extension capped at n={cap}")
-        from . import oracle
-
-        return any(leq(f, h) for h in oracle.oracle_all_minimal(g, variant, cap=cap))
-    if mode != "fast":
-        raise ValueError(f"unknown mode {mode!r}")
     pos = pos_mask(f)
     m2 = two_mask(f)
     m1 = pos & ~m2
     if open_neighborhood(g, m1) & m2:
         raise UnsupportedRoute(
-            "fast extension requires that no 1-vertex touch a 2-vertex"
+            "extension check requires that no 1-vertex touch a 2-vertex"
         )
     from . import fixed_two
 
@@ -390,20 +380,10 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
         else:
             lines.append("equals the canonical rdf of its 2-set: ok")
     else:
-        bad_one = []
-        for v in bits(m1):
-            if not g.adj[v] & m2:
-                continue
-            if variant is Variant.MRDF:
-                undominated = g.full & ~closed_neighborhood(g, m0)
-                needed = not (undominated & ~g.cadj[v])
-            elif variant is Variant.TRDF:
-                rest = pos & ~bit(v)
-                needed = any(not g.adj[u] & rest for u in bits(rest))
-            else:
-                needed = not is_connected_set(g, pos & ~bit(v))
-            if not needed:
-                bad_one.append(v)
+        bad_one = [
+            v for v in bits(m1)
+            if g.adj[v] & m2 and is_variant(g, sub_one(f, bit(v)), variant)
+        ]
         if bad_one:
             lines.append(f"droppable 1-vertices: {bad_one}")
         else:

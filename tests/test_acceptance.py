@@ -15,7 +15,7 @@ from math import log2
 import numpy as np
 import pytest
 
-from romanenum.engine import enumerate_minimal
+from romanenum.engine import EnumerationStats, iter_minimal
 from romanenum.families import (
     complete_graph,
     cycle_graph,
@@ -70,7 +70,10 @@ RUNS = []
 
 
 def tracked(label, g, variant, solver, sink=None):
-    st = enumerate_minimal(g, variant, solver, sink=sink)
+    st = EnumerationStats()
+    for _a, f in iter_minimal(g, variant, solver, stats=st):
+        if sink is not None:
+            sink(f)
     assert st.max_consecutive_empty <= g.n * g.n, (
         f"{label}: {st.max_consecutive_empty} consecutive empties on n={g.n}"
     )
@@ -95,12 +98,12 @@ def test_criterion_01_instant_no_instance_answers(capfd):
     g = path_graph(4)
     a = mask_of([0, 3])
     # warm up, then take the best of five timed repetitions
-    assert extension_check(g, (2, 0, 0, 2), Variant.MRDF, mode="fast") is False
+    assert extension_check(g, (2, 0, 0, 2), Variant.MRDF) is False
     assert list(MrdfSolver(g).stream(a)) == []
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
-        no_extension = extension_check(g, (2, 0, 0, 2), Variant.MRDF, mode="fast")
+        no_extension = extension_check(g, (2, 0, 0, 2), Variant.MRDF)
         empty = list(MrdfSolver(g).stream(a))
         best = min(best, time.perf_counter() - t0)
         assert no_extension is False and empty == []

@@ -78,6 +78,14 @@ def test_enumerate_json_and_limit(capsys, p4_file):
     assert second == {"values": [2, 0, 1, 1], "v2": [0], "v1": [2, 3]}
 
 
+def test_negative_limit_is_refused(capsys, p4_file):
+    for command in (["enumerate"], ["fixed-two", "--two-set", "0"]):
+        code, out, err = run(capsys, [*command, "--graph", p4_file, "--limit", "-1"])
+        assert code == 1, command
+        assert out == []
+        assert err == "error: --limit must not be negative\n"
+
+
 def test_enumerate_to_output_file(capsys, p4_file, tmp_path):
     target = tmp_path / "out.txt"
     code, out, _ = run(
@@ -434,43 +442,3 @@ def test_gen_path_graph_text(capsys):
     code, out, _ = run(capsys, ["gen", "--family", "path", "--n", "4"])
     assert code == 0
     assert out[1:] == P4_TEXT.strip().splitlines()
-
-
-# ------------------------------------------------------------------ bench
-
-
-def test_bench_gn_doubles(capsys):
-    code, out, _ = run(
-        capsys,
-        ["bench", "--family", "gn", "--variant", "crdf", "--n-min", "2", "--n-max", "5"],
-    )
-    assert code == 0
-    header = out[0].split(",")
-    assert header[:5] == ["family", "variant", "n", "seed", "outputs"]
-    rows = [line.split(",") for line in out[1:]]
-    assert [int(r[2]) for r in rows] == [2, 3, 4, 5]
-    assert [int(r[4]) for r in rows] == [2, 4, 8, 16]
-
-
-def test_bench_gn_rejects_other_variants(capsys):
-    code, _, err = run(
-        capsys,
-        ["bench", "--family", "gn", "--variant", "rdf", "--n-min", "2", "--n-max", "3"],
-    )
-    assert code == 2
-    assert err.startswith("error:")
-
-
-def test_bench_path_rdf_rows(capsys):
-    code, out, _ = run(
-        capsys,
-        ["bench", "--family", "path", "--variant", "rdf", "--n-min", "2", "--n-max", "6", "--step", "2"],
-    )
-    assert code == 0
-    rows = [line.split(",") for line in out[1:]]
-    assert [int(r[2]) for r in rows] == [2, 4, 6]
-    for r in rows:
-        assert int(r[4]) > 0  # outputs
-        assert int(r[5]) >= int(r[6])  # sets >= empty sets
-        n = int(r[2])
-        assert int(r[7]) <= n * n  # max consecutive empty

@@ -2,10 +2,11 @@
 
 import random
 import time
+from itertools import islice
 
 import pytest
 
-from romanenum.engine import EnumerationStats, enumerate_minimal, enumerate_with_budget, iter_minimal
+from romanenum.engine import EnumerationStats, iter_minimal
 from romanenum.families import (
     complete_graph,
     path_graph,
@@ -63,7 +64,9 @@ def test_pruning_changes_work_but_not_output():
 def test_delay_counters_stay_quadratic_with_pruning():
     rng = random.Random(0xE18)
     for g, variant, solver in run_instances(rng):
-        st = enumerate_minimal(g, variant, solver)
+        st = EnumerationStats()
+        for _pair in iter_minimal(g, variant, solver, stats=st):
+            pass
         n = g.n
         assert st.max_consecutive_empty <= n * n
         assert st.max_inter_output_work <= n * n + 1
@@ -73,9 +76,9 @@ def test_delay_counters_stay_quadratic_with_pruning():
 
 def test_stats_counters_are_consistent():
     g = path_graph(4)
-    sink_calls = []
-    st = enumerate_minimal(g, Variant.RDF, RdfSolver(g), sink=sink_calls.append)
-    assert st.outputs == len(sink_calls) == 7
+    st = EnumerationStats()
+    pairs = list(iter_minimal(g, Variant.RDF, RdfSolver(g), stats=st))
+    assert st.outputs == len(pairs) == 7
     assert st.sets_explored == st.empty_sets_explored + 7  # one function per 2-set
     d = st.as_dict()
     assert d["outputs"] == 7
@@ -92,33 +95,40 @@ def test_stats_counters_are_consistent():
 def test_budget_semantics():
     g = path_graph(5)
     solver = RdfSolver(g)
-    everything, st_all = enumerate_with_budget(g, Variant.RDF, solver, 0)
+    st_all = EnumerationStats()
+    everything = list(iter_minimal(g, Variant.RDF, solver, stats=st_all))
     assert st_all.outputs == len(everything)
     assert len(everything) > 3
 
-    got, st = enumerate_with_budget(g, Variant.RDF, solver, 3)
+    # stopping early: take a prefix, then close the stream
+    st = EnumerationStats()
+    stream = iter_minimal(g, Variant.RDF, solver, stats=st)
+    got = list(islice(stream, 3))
+    stream.close()
     assert got == everything[:3]
     assert st.outputs == 3
     assert st.sets_explored <= st_all.sets_explored
 
-    generous, st_big = enumerate_with_budget(g, Variant.RDF, solver, 10**6)
+    st_big = EnumerationStats()
+    stream = iter_minimal(g, Variant.RDF, solver, stats=st_big)
+    generous = list(islice(stream, 10**6))
+    stream.close()
     assert generous == everything
     assert st_big.outputs == st_all.outputs
-
-    negative, _ = enumerate_with_budget(g, Variant.RDF, solver, -1)
-    assert negative == everything
 
 
 def test_zero_output_runs():
     k1 = complete_graph(1)
-    st = enumerate_minimal(k1, Variant.TRDF, solver_for(k1, Variant.TRDF))
+    st = EnumerationStats()
+    assert list(iter_minimal(k1, Variant.TRDF, solver_for(k1, Variant.TRDF), stats=st)) == []
     assert st.outputs == 0
     assert st.sets_explored == 1  # the empty root kills the whole tree
 
     model = IntervalModel(((0, 1), (5, 6)))
     g = intersection_graph(model)
     solver = IntervalConnectedSolver(g, model)
-    st = enumerate_minimal(g, Variant.CRDF, solver)
+    st = EnumerationStats()
+    assert list(iter_minimal(g, Variant.CRDF, solver, stats=st)) == []
     assert st.outputs == 0
     assert st.sets_explored == 1
 
@@ -164,6 +174,5 @@ def test_interval_route_on_paths_matches_oracle_through_engine():
     for n in range(1, 8):
         g = path_graph(n)
         solver = IntervalConnectedSolver(g, path_interval_model(n))
-        found = set()
-        enumerate_minimal(g, Variant.CRDF, solver, sink=found.add)
+        found = {f for _a, f in iter_minimal(g, Variant.CRDF, solver)}
         assert found == oracle_all_minimal(g, Variant.CRDF)

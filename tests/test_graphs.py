@@ -31,7 +31,6 @@ from romanenum.graphs import (
     parse_intervals,
     parse_vertex_set,
     private_neighbors,
-    private_neighbors_within,
     recognize_cobipartite,
     same_component,
     validate_cobipartite,
@@ -109,12 +108,6 @@ def test_private_neighbors_on_path():
     assert private_neighbors(p4, mask_of([0, 2]), 0) == 0b0001
     with pytest.raises(ValueError):
         private_neighbors(p4, mask_of([0, 2]), 1)
-
-
-def test_private_neighbors_within_restricts_the_arena():
-    p4 = path_graph(4)
-    full = private_neighbors(p4, mask_of([0, 3]), 0)
-    assert private_neighbors_within(p4, 0b1101, mask_of([0, 3]), 0) == full & 0b1101
 
 
 def test_induced_subgraph_remaps_indices():

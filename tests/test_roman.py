@@ -172,6 +172,14 @@ def test_is_minimal_variant_rejects_non_members():
         is_minimal_variant(p4, (1, 1, 1, 1), Variant.PRDF)
 
 
+def test_is_minimal_variant_rejects_a_function_of_the_wrong_length():
+    p3 = path_graph(3)
+    for variant in Variant:
+        for f in ((2, 0, 1, 0), (0, 2, 0, 2), (2, 0)):
+            with pytest.raises(ValueError):
+                is_minimal_variant(p3, f, variant)
+
+
 def test_constraint_probes_preconditions():
     p4 = path_graph(4)
     with pytest.raises(ValueError):
@@ -212,36 +220,19 @@ def test_perfect_variant_fails_zero_raise():
     assert not is_variant(star, sub_one(h, bit(0)), Variant.PRDF)
 
 
-def test_extension_check_oracle_mode():
-    p4 = path_graph(4)
-    assert extension_check(p4, (2, 0, 0, 2), Variant.MRDF, mode="oracle") is False
-    assert extension_check(p4, (2, 0, 0, 2), Variant.RDF, mode="oracle") is True
-    assert extension_check(p4, (0, 0, 0, 0), Variant.MRDF, mode="oracle") is True
-    assert extension_check(p4, (1, 1, 1, 1), Variant.MRDF, mode="oracle") is True
-
-
-def test_extension_check_oracle_matches_brute():
-    rng = random.Random(55)
-    for _ in range(80):
-        n = rng.randint(1, 5)
-        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
-        f = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
-        for variant in ALL_MINIMAL_VARIANTS:
-            got = extension_check(g, f, variant, mode="oracle")
-            want = exists_minimal_geq(g, f, variant)
-            assert got == want
-
-
 def test_extension_check_fast_mode():
     p4 = path_graph(4)
     # prefunctions whose 1-set avoids 2-neighbors route through the solver
-    assert extension_check(p4, (2, 0, 0, 2), Variant.MRDF, mode="fast") is False
+    assert extension_check(p4, (2, 0, 0, 2), Variant.MRDF) is False
+    assert extension_check(p4, (2, 0, 0, 2), Variant.RDF) is True
     # 2011 is a minimal variant function sitting above 2000
-    assert extension_check(p4, (2, 0, 0, 0), Variant.MRDF, mode="fast") is True
-    assert extension_check(p4, (0, 2, 0, 0), Variant.MRDF, mode="fast") is True
-    # a 1 next to a 2 is outside the fast route's guarantee
+    assert extension_check(p4, (2, 0, 0, 0), Variant.MRDF) is True
+    assert extension_check(p4, (0, 2, 0, 0), Variant.MRDF) is True
+    assert extension_check(p4, (0, 0, 0, 0), Variant.MRDF) is True
+    assert extension_check(p4, (1, 1, 1, 1), Variant.MRDF) is True
+    # a 1 next to a 2 is outside the route's guarantee
     with pytest.raises(UnsupportedRoute):
-        extension_check(p4, (2, 1, 0, 0), Variant.MRDF, mode="fast")
+        extension_check(p4, (2, 1, 0, 0), Variant.MRDF)
 
 
 def test_extension_check_fast_matches_oracle_where_defined():
@@ -253,12 +244,10 @@ def test_extension_check_fast_matches_oracle_where_defined():
         a = rng.getrandbits(n)
         f = canonical_rdf(g, a)
         # degrade some 1s to 0s so the prefunction is partial but keeps
-        # the fast route's applicability (no 1 adjacent to a 2)
+        # the route's applicability (no 1 adjacent to a 2)
         f = tuple(0 if (f[v] == 1 and rng.random() < 0.5) else f[v] for v in range(n))
-        for variant, kwargs in ((Variant.RDF, {}), (Variant.MRDF, {})):
-            got = extension_check(g, f, variant, mode="fast", **kwargs)
-            want = extension_check(g, f, variant, mode="oracle")
-            assert got == want
+        for variant in (Variant.RDF, Variant.MRDF):
+            assert extension_check(g, f, variant) == exists_minimal_geq(g, f, variant)
             checked += 1
     assert checked > 100
 
@@ -266,16 +255,14 @@ def test_extension_check_fast_matches_oracle_where_defined():
 def test_extension_check_fast_routes_by_class():
     g, part = random_cobipartite(6, 0.5, random.Random(3))
     f = canonical_rdf(g, 0)
-    assert isinstance(
-        extension_check(g, f, Variant.TRDF, mode="fast", partition=part), bool
-    )
+    got = extension_check(g, f, Variant.TRDF, partition=part)
+    assert got == exists_minimal_geq(g, f, Variant.TRDF)
     gi, model = random_interval_instance(6, random.Random(3))
     f = canonical_rdf(gi, 0)
-    assert isinstance(
-        extension_check(gi, f, Variant.CRDF, mode="fast", model=model), bool
-    )
+    got = extension_check(gi, f, Variant.CRDF, model=model)
+    assert got == exists_minimal_geq(gi, f, Variant.CRDF)
     with pytest.raises(UnsupportedRoute):
-        extension_check(path_graph(5), (0, 0, 2, 0, 0), Variant.CRDF, mode="fast")
+        extension_check(path_graph(5), (0, 0, 2, 0, 0), Variant.CRDF)
 
 
 def test_minimality_report_verdicts():
