@@ -8,7 +8,6 @@ from .graphs import (
     CobipartitePartition,
     Graph,
     IntervalModel,
-    bit,
     has_universal_vertex,
     intersection_graph,
     is_connected,

@@ -18,9 +18,14 @@ It holds the canonical positive set, N(A) and the private candidates of
 each member of A, so each candidate is tested as a positive-set mask against
 constants of A; a tuple is built only for a candidate that passes.
 
-The interval solver's window tests are neighborhood masks: one breadth-first
-search gives N(C) for a component C, and every vertex the window could add
-next is read off a difference of three such masks (see WindowTables).
+The interval solver's window tests are neighborhood masks.  With B the
+canonical positive set, the component of a root r in G[B + X] is r's own
+component in G[B + r] joined with that of each added vertex x in G[B + x]
+that the growing component touches, since x brings exactly the components of
+G[B] next to it.  So N(component) is an OR of per-vertex masks, built with
+one breadth-first search per component of G[B], and every vertex the window
+could add next is read off a difference of three such ORs (see
+WindowTables).
 """
 
 from __future__ import annotations
@@ -96,9 +101,9 @@ class MrdfSolver(FixedTwoSolver):
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         g = self.graph
-        if not valid_two_set(g, a):
-            return
         ctx = TwoSetContext(g, a, self.variant)
+        if not ctx.valid():
+            return
         m0 = g.full & ~ctx.pos0
         if not is_dominating(g, m0):
             yield function_from_masks(g.n, a, ctx.pos0)
@@ -138,9 +143,9 @@ class CobipartiteSolver(FixedTwoSolver):
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         g = self.graph
-        if not valid_two_set(g, a):
-            return
         ctx = TwoSetContext(g, a, self.variant)
+        if not ctx.valid():
+            return
         pos0 = ctx.pos0
         zeros = [bit(v) for v in bits(g.full & ~pos0)]
         raised = chain([0], zeros, (v | u for v, u in combinations(zeros, 2)))
@@ -152,10 +157,10 @@ class CobipartiteSolver(FixedTwoSolver):
 class WindowTables:
     """Window tests for connected completions on an interval order.
 
-    Fix a 2-set a and its context, and let B be the canonical positive set
-    ctx.pos0.  A candidate set X of 0-vertices of the canonical rdf completes
-    a to a minimal connected rdf exactly when, reading X in interval order
-    (left endpoint, right endpoint, index),
+    Fix a valid 2-set a and its context, and let B be the canonical positive
+    set ctx.pos0.  A candidate set X of 0-vertices of the canonical rdf
+    completes a to a minimal connected rdf exactly when, reading X in
+    interval order (left endpoint, right endpoint, index),
 
       - |X| <= 3: checked directly, or
       - |X| >= 4: the three smallest members pass the start test, the three
@@ -165,9 +170,9 @@ class WindowTables:
     Each test combines a private-neighbor condition (the window must not
     take up all private candidates of any 2-vertex) with three connectivity
     probes on induced subgraphs: the window must connect its span, and
-    dropping either middle element must break it.  s and t are the extremal
-    positive vertices of B; probes from them detect whether X reaches the
-    ends of the layout.
+    dropping either middle element must break it.  The roots s and t are
+    positive vertices of B whose intervals start first and end last; probes
+    from them detect whether X reaches the ends of the layout.
 
     The probes are answered by neighborhood masks.  Write C_r(S) for the
     component of r in G[S + r] and N(C) for every vertex adjacent to C.  A
@@ -179,13 +184,20 @@ class WindowTables:
     holds exactly the z whose three probes pass: root s with the pair (x, y)
     for the start window (x, y, z), root w with (x, y) for the middle window
     (w, x, y, z), and root t with (y, z) for the end window (x, y, z),
-    probing x.  The rule holds on any graph, whatever the model.  N(C) is
-    cached per (root, added vertices): a DAG node (w, x, y) costs one
-    breadth-first search for its pair and at most two for the single
-    vertices, which it shares with every node of the same root and middle
-    member.  A pair in which u or v does not touch the root's component with
-    the other added gives an empty mask without the pair search.  The
-    private-neighbor condition runs only on the vertices a mask holds.
+    probing x.  The rule holds on any graph, whatever the model.
+
+    No mask needs a search of its own.  Write N_v for N(C_v(B + v)).  An
+    added 0-vertex x brings exactly the components of G[B] next to it, so
+    C_r(B + X) is C_r(B + r) joined with C_x(B + x) for each x in X that the
+    growing component touches, and N(C_r(B + X)) is N_r OR'd with N_x over
+    those x (_touching).  N_v is N(K) for v in the component K of G[B], and
+    N(v) OR'd with N(K) of each component v touches for a 0-vertex v, so the
+    tables cost one breadth-first search per component of G[B].
+
+    The private candidates of the members of A are disjoint, so each vertex
+    has at most one owner in A, and a window can take up every private
+    candidate only of an owner of one of its members: the condition checks
+    those owners, in O(window).
 
     The private-neighbor condition of the middle test is kept although no
     instance is known where dropping it changes an output: an exhaustive
@@ -195,35 +207,64 @@ class WindowTables:
     that the start and end tests imply it.
     """
 
-    def __init__(self, g: Graph, model: IntervalModel, ctx: TwoSetContext):
+    def __init__(self, g: Graph, ctx: TwoSetContext, s: int, t: int):
         self.g = g
         self.ctx = ctx
-        self.base_pos = ctx.pos0
-        if self.base_pos == 0:
-            raise ValueError("no positive vertex to anchor the window tests")
-        iv = model.intervals
-        self.s = min(bits(self.base_pos), key=lambda v: (iv[v][0], iv[v][1], v))
-        self.t = max(bits(self.base_pos), key=lambda v: (iv[v][1], iv[v][0], v))
-        self._border: dict = {}
+        self.s = s
+        self.t = t
+        base = ctx.pos0
+        zeros = g.full & ~base
+        border = list(g.adj)  # border[v] = N_v once the components are in
+        rest = base
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            nb = component_neighborhood(g, base, v)
+            component = nb & base | bit(v)
+            rest &= ~component
+            for u in bits(component):
+                border[u] = nb
+            for u in bits(nb & zeros):
+                border[u] |= nb
+        self._border = border
+        owner = [-1] * g.n  # owner[u]: the member of A that u is private to
+        for v, candidates in ctx.private.items():
+            for u in bits(candidates):
+                owner[u] = v
+        self._owner = owner
 
     def _touching(self, root: int, added: int) -> int:
-        """N(C_root(B + added)), cached."""
-        key = (root, added)
-        got = self._border.get(key)
-        if got is None:
-            got = component_neighborhood(self.g, self.base_pos | added, root)
-            self._border[key] = got
+        """N(C_root(B + added)) for a mask of 0-vertices other than root."""
+        border = self._border
+        got = border[root]
+        joined = got & added
+        while joined:
+            low = joined & -joined
+            added ^= low
+            got |= border[low.bit_length() - 1]
+            joined = got & added
         return got
 
     def _needing_both(self, root: int, u: int, v: int) -> int:
         """The vertices that join root's component once u and v are added,
         but not with only one of them."""
-        with_u = self._touching(root, bit(u))
-        with_v = self._touching(root, bit(v))
-        if not (with_u >> v & 1 and with_v >> u & 1):
+        bu, bv = 1 << u, 1 << v
+        with_u = self._touching(root, bu)
+        with_v = self._touching(root, bv)
+        if not (with_u & bv and with_v & bu):
             # one of the pair leaves the root's component as it is
             return 0
-        return self._touching(root, bit(u) | bit(v)) & ~with_u & ~with_v
+        return self._touching(root, bu | bv) & ~with_u & ~with_v
+
+    def _keeps_private(self, *window: int) -> bool:
+        """ctx.private_ok on the window's mask, checking only the owners of
+        its members."""
+        private, owner = self.ctx.private, self._owner
+        taken = mask_of(window)
+        for u in window:
+            v = owner[u]
+            if v >= 0 and not private[v] & ~taken:
+                return False
+        return True
 
     def start_mask(self, x: int, y: int) -> int:
         """Every z whose window (x, y, z) passes the start probes."""
@@ -234,39 +275,34 @@ class WindowTables:
         return self._needing_both(w, x, y)
 
     def start_ok(self, x: int, y: int, z: int) -> bool:
-        return bool(self.start_mask(x, y) >> z & 1) and self.ctx.private_ok(
-            bit(x) | bit(y) | bit(z)
-        )
+        return bool(self.start_mask(x, y) >> z & 1) and self._keeps_private(x, y, z)
 
     def end_ok(self, x: int, y: int, z: int) -> bool:
-        return bool(self._needing_both(self.t, y, z) >> x & 1) and self.ctx.private_ok(
-            bit(x) | bit(y) | bit(z)
-        )
+        return bool(self._needing_both(self.t, y, z) >> x & 1) and self._keeps_private(x, y, z)
 
     def middle_ok(self, w: int, x: int, y: int, z: int) -> bool:
-        return bool(self.middle_mask(w, x, y) >> z & 1) and self.ctx.private_ok(
-            bit(w) | bit(x) | bit(y) | bit(z)
-        )
+        return bool(self.middle_mask(w, x, y) >> z & 1) and self._keeps_private(w, x, y, z)
 
 
-def fewest_connectors(model: IntervalModel, pos: int, spare) -> Optional[int]:
+def fewest_connectors(model: IntervalModel, members, spare) -> Optional[int]:
     """Fewest intervals from `spare` whose addition makes the union of the
-    intervals of `pos` one interval; None when no choice of them does.
+    intervals of `members` one interval; None when no choice of them does.
 
-    `spare` lists vertices in order of left endpoint.  A set of intervals
-    induces a connected subgraph of the intersection graph iff its union has
-    no gap, so on a graph the model realises no raised set smaller than this
-    can make pos connected.  Greedy: at each gap, take the spare interval
-    that starts inside the covered prefix and reaches furthest right.
+    Both lists hold vertices in interval order (left endpoint, then right).
+    A set of intervals induces a connected subgraph of the intersection
+    graph iff its union has no gap, so on a graph the model realises no
+    raised set smaller than this can make the members connected.  Greedy: at
+    each gap, take the spare interval that starts inside the covered prefix
+    and reaches furthest right.
     """
     iv = model.intervals
-    spans = sorted(iv[v] for v in bits(pos))
-    if not spans:
+    if not members:
         return 0
-    reach = spans[0][1]
+    reach = iv[members[0]][1]
     furthest = reach
     i = count = 0
-    for lo, hi in spans[1:]:
+    for v in members[1:]:
+        lo, hi = iv[v]
         while lo > reach:
             while i < len(spare) and iv[spare[i]][0] <= reach:
                 furthest = max(furthest, iv[spare[i]][1])
@@ -284,21 +320,21 @@ class IntervalConnectedSolver(FixedTwoSolver):
 
     The model must realize the graph: a model of the wrong size is a
     ValueError, any other mismatch an UnsupportedRoute, because the gap bound
-    and the window DAG read connectivity off the intervals.  Per 2-set A,
-    the solver first counts the fewest 0-vertex intervals that close every
-    gap in the union of the canonical positive set's intervals
-    (fewest_connectors); raised sets below that size cannot be connected and
-    are never tested.  Completion sets of size at most 3 are then scanned
-    directly against the 2-set's TwoSetContext.  Larger ones are
-    source-to-sink paths in a DAG whose nodes are window-passing triples;
-    restricting the walk to nodes that can reach a sink keeps the delay
-    polynomial.  A node's successors are read off one WindowTables mask
-    (at most three breadth-first searches per node, two of them shared), and
-    the start nodes off one mask per pair of 0-vertices, taken in
-    lexicographic order, so the walk reaches its first sink after a number
-    of searches linear in the nodes it expands.  Both DAG walks use explicit
-    stacks, so their depth, which grows with the number of raised vertices,
-    is not bounded by Python's recursion limit.
+    and the window DAG read connectivity off the intervals.  The vertices
+    are sorted into interval order once.  Per 2-set A, the solver first
+    counts the fewest 0-vertex intervals that close every gap in the union
+    of the canonical positive set's intervals (fewest_connectors); raised
+    sets below that size cannot be connected and are never tested.
+    Completion sets of size at most 3 are then scanned directly against the
+    2-set's TwoSetContext.  Larger ones are source-to-sink paths in a DAG
+    whose nodes are window-passing triples; restricting the walk to nodes
+    that can reach a sink keeps the delay polynomial.  A node's successors
+    are read off one WindowTables mask, and the start nodes off one mask per
+    pair of 0-vertices, taken in lexicographic order; the masks are ORs of
+    per-vertex masks that cost one breadth-first search per component of
+    the positive set, so no search runs per DAG node.  Both DAG walks use
+    explicit stacks, so their depth, which grows with the number of raised
+    vertices, is not bounded by Python's recursion limit.
     """
 
     variant = Variant.CRDF
@@ -310,24 +346,31 @@ class IntervalConnectedSolver(FixedTwoSolver):
         if not validate_interval_model(g, model):
             raise UnsupportedRoute("interval model does not realize the graph")
         self.model = model
+        # a stable sort by interval keeps equal intervals in index order
+        self.order = sorted(range(g.n), key=model.intervals.__getitem__)
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         g = self.graph
-        if not valid_two_set(g, a):
-            return
         ctx = TwoSetContext(g, a, self.variant)
-        iv = self.model.intervals
-        universe = sorted(bits(g.full & ~ctx.pos0), key=lambda v: (iv[v][0], iv[v][1], v))
-        fewest = fewest_connectors(self.model, ctx.pos0, universe)
+        if not ctx.valid():
+            return
+        pos0 = ctx.pos0
+        members = [v for v in self.order if pos0 >> v & 1]
+        universe = [v for v in self.order if not pos0 >> v & 1]
+        fewest = fewest_connectors(self.model, members, universe)
         if fewest is None:
             return
         for k in range(fewest, min(3, len(universe)) + 1):
             for combo in combinations(universe, k):
-                pos = ctx.pos0 | mask_of(combo)
+                pos = pos0 | mask_of(combo)
                 if ctx.minimal(pos):
                     yield function_from_masks(g.n, a, pos)
         if len(universe) >= 4:
-            yield from self._large_stream(ctx, universe, WindowTables(g, self.model, ctx))
+            # intervals that end last all meet, so any of them roots the
+            # same component
+            iv = self.model.intervals
+            t = max(members, key=lambda v: iv[v][1])
+            yield from self._large_stream(ctx, universe, WindowTables(g, ctx, members[0], t))
 
     def _large_stream(self, ctx, universe, tables) -> Iterator[RomanFunction]:
         g = self.graph

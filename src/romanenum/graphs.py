@@ -299,14 +299,26 @@ def validate_interval_model(g: Graph, m: IntervalModel) -> bool:
 
 
 def intersection_graph(m: IntervalModel) -> Graph:
+    """The graph whose edges join the vertices of meeting intervals.
+
+    One sweep by left endpoint: an interval meets exactly the earlier ones
+    that have not ended before it starts, so it is joined to every interval
+    still open, after those whose right endpoint lies left of its start are
+    closed in order of right endpoint.  O(n log n + m).
+    """
     iv = m.intervals
-    n = len(iv)
+    by_right = sorted(range(len(iv)), key=lambda v: iv[v][1])
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1]):
-                edges.append((u, v))
-    return Graph(n, edges)
+    still_open = closed = 0
+    for v in sorted(range(len(iv)), key=iv.__getitem__):
+        lo = iv[v][0]
+        # stops at v at the latest, since v does not end before it starts
+        while iv[by_right[closed]][1] < lo:
+            still_open &= ~bit(by_right[closed])
+            closed += 1
+        edges.extend((u, v) for u in bits(still_open))
+        still_open |= bit(v)
+    return Graph(len(iv), edges)
 
 
 def min_degree_peel(g: Graph) -> tuple[list[int], int]:

@@ -184,6 +184,8 @@ class TwoSetContext:
                neighbor exactly when one of them stays 0
 
     and `minimal(pos)` decides minimality for the mrdf, trdf or crdf variant.
+    The private candidates of different members are disjoint (each is
+    covered by its owner alone), and `valid()` is valid_two_set in O(|A|).
     """
 
     __slots__ = ("g", "a", "variant", "pos0", "nbr", "private")
@@ -201,6 +203,10 @@ class TwoSetContext:
         self.pos0 = a | (g.full & ~once)
         self.nbr = nbr
         self.private = {v: g.cadj[v] & alone & ~bit(v) for v in bits(a)}
+
+    def valid(self) -> bool:
+        """valid_two_set(g, a): every member of A has a private candidate."""
+        return all(self.private.values())
 
     def private_ok(self, pos: int) -> bool:
         """Every member of A keeps a private candidate outside pos."""

@@ -13,7 +13,6 @@ from itertools import product
 from math import log2
 
 import numpy as np
-import pytest
 
 from romanenum.engine import EnumerationStats, iter_minimal
 from romanenum.families import (
@@ -31,7 +30,6 @@ from romanenum.fixed_two import (
     IntervalConnectedSolver,
     MrdfSolver,
     RdfSolver,
-    solver_for,
 )
 from romanenum.gadgets import (
     gadget_crdf_from_sat,
@@ -40,7 +38,7 @@ from romanenum.gadgets import (
     gadget_trdf_from_sat,
     transversal_of,
 )
-from romanenum.graphs import Graph, bits, is_connected, mask_of
+from romanenum.graphs import Graph, is_connected, mask_of
 from romanenum.oracle import (
     CnfInstance,
     Hypergraph,
@@ -58,7 +56,6 @@ from romanenum.roman import (
     extension_check,
     is_minimal_variant,
     two_drop_iff_no_private,
-    two_mask,
     valid_two_set,
     zero_raise_keeps_property,
 )

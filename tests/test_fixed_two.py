@@ -38,6 +38,7 @@ from romanenum.graphs import (
     IntervalModel,
     bit,
     bits,
+    component_neighborhood,
     intersection_graph,
     is_connected,
     is_connected_set,
@@ -234,6 +235,7 @@ def test_fewest_connectors_matches_brute_force():
         n = rng.randint(1, 8)
         g, model = random_interval_instance(n, rng)
         pos = rng.getrandbits(n)
+        members = sorted(bits(pos), key=lambda v: model.intervals[v])
         spare = sorted(bits(g.full & ~pos), key=lambda v: model.intervals[v])
         fewest = next(
             (
@@ -243,11 +245,11 @@ def test_fewest_connectors_matches_brute_force():
             ),
             None,
         )
-        assert fewest_connectors(model, pos, spare) == fewest, (model, pos)
+        assert fewest_connectors(model, members, spare) == fewest, (model, pos)
 
 
 def probe_start(tables, x, y, z):
-    g, s, base = tables.g, tables.s, tables.base_pos
+    g, s, base = tables.g, tables.s, tables.ctx.pos0
     return (
         same_component(g, base | mask_of((x, y, z)), s, z)
         and not same_component(g, base | mask_of((x, z)), s, z)
@@ -257,7 +259,7 @@ def probe_start(tables, x, y, z):
 
 
 def probe_end(tables, x, y, z):
-    g, t, base = tables.g, tables.t, tables.base_pos
+    g, t, base = tables.g, tables.t, tables.ctx.pos0
     return (
         same_component(g, base | mask_of((x, y, z)), t, x)
         and not same_component(g, base | mask_of((x, z)), t, x)
@@ -267,7 +269,7 @@ def probe_end(tables, x, y, z):
 
 
 def probe_middle(tables, w, x, y, z):
-    g, base = tables.g, tables.base_pos
+    g, base = tables.g, tables.ctx.pos0
     return (
         same_component(g, base | mask_of((w, x, y, z)), w, z)
         and not same_component(g, base | mask_of((w, x, z)), w, z)
@@ -294,9 +296,13 @@ def test_window_masks_match_the_connectivity_probes():
         for _ in range(4):
             ctx = TwoSetContext(g, mask_of(rng.sample(range(g.n), rng.randint(1, 2))), Variant.CRDF)
             universe = list(bits(g.full & ~ctx.pos0))
-            if not ctx.pos0 or len(universe) > 8:
+            # the tables are built for valid 2-sets only
+            if not ctx.valid() or len(universe) > 8:
                 continue
-            tables = WindowTables(g, model, ctx)
+            iv = model.intervals
+            s = min(bits(ctx.pos0), key=iv.__getitem__)
+            t = max(bits(ctx.pos0), key=lambda v: iv[v][1])
+            tables = WindowTables(g, ctx, s, t)
             for x, y, z in permutations(universe, 3):
                 for test, probe in ((tables.start_ok, probe_start), (tables.end_ok, probe_end)):
                     want = probe(tables, x, y, z)
@@ -310,6 +316,49 @@ def test_window_masks_match_the_connectivity_probes():
                 checked += 1
     assert checked > 10000, checked
     assert min(passed[p] for p in (probe_start, probe_end, probe_middle)) >= 30, passed
+
+
+def test_touching_is_the_component_neighborhood():
+    # N(C_r(B + X)) as an OR of per-vertex masks, on random graphs: every
+    # root and every set X of at most two 0-vertices other than the root
+    rng = random.Random(0x4571)
+    checked = 0
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 10), rng.uniform(0.1, 0.6), rng)
+        a = mask_of(rng.sample(range(g.n), rng.randint(0, min(3, g.n))))
+        ctx = TwoSetContext(g, a, Variant.CRDF)
+        root = next(bits(ctx.pos0))
+        tables = WindowTables(g, ctx, root, root)
+        zeros = list(bits(g.full & ~ctx.pos0))
+        for r in range(g.n):
+            for k in range(3):
+                for added in combinations([v for v in zeros if v != r], k):
+                    x = mask_of(added)
+                    want = component_neighborhood(g, ctx.pos0 | x, r)
+                    assert tables._touching(r, x) == want, (g.edges(), ctx.a, r, added)
+                    checked += 1
+    assert checked > 8000, checked
+
+
+def test_owner_indexed_private_test_matches_private_ok():
+    # every window of at most four 0-vertices of valid 2-sets on random graphs
+    rng = random.Random(0x4572)
+    seen = defaultdict(int)
+    for _ in range(600):
+        g = random_graph(rng.randint(2, 10), rng.uniform(0.1, 0.6), rng)
+        a = mask_of(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
+        ctx = TwoSetContext(g, a, Variant.CRDF)
+        if not ctx.valid():
+            continue
+        root = next(bits(ctx.pos0))
+        tables = WindowTables(g, ctx, root, root)
+        zeros = list(bits(g.full & ~ctx.pos0))
+        for k in range(1, 5):
+            for window in combinations(zeros, k):
+                want = ctx.private_ok(mask_of(window))
+                assert tables._keeps_private(*window) == want, (g.edges(), ctx.a, window)
+                seen[want] += 1
+    assert min(seen[True], seen[False]) >= 500, seen
 
 
 # ------------------------------------------------------------ chain family
@@ -477,6 +526,25 @@ def test_first_output_probe_count_grows_linearly(monkeypatch):
         counts.append(searches)
     for small, large in zip(counts, counts[1:]):
         assert 0 < large <= 2.5 * small, counts
+
+
+@pytest.mark.parametrize("anchors", (20, 40, 80, 160))
+def test_first_output_searches_once_per_anchor(monkeypatch, anchors):
+    # the window tables search each component of the positive set once, and
+    # on the chain's 2-set the anchors are those components
+    searches = 0
+    reach = fixed_two.component_neighborhood
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return reach(*args)
+
+    monkeypatch.setattr(fixed_two, "component_neighborhood", counted)
+    g, model, seed = double_link_chain(anchors)
+    first = IntervalConnectedSolver(g, model).first(seed)
+    assert first is not None and two_mask(first) == seed
+    assert 0 < searches <= anchors, searches
 
 
 def test_long_chain_streams_under_a_low_recursion_limit():

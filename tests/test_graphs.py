@@ -214,6 +214,24 @@ def test_intersection_graph_matches_model():
     assert validate_interval_model(g, m)
 
 
+def test_intersection_graph_matches_pairwise_meeting():
+    # the endpoint sweep against the definition, on models with equal
+    # intervals and intervals that share one endpoint
+    rng = random.Random(0x1D6)
+    equal = touching = 0
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        iv = [(lo, lo + rng.randint(0, 3)) for lo in (rng.randint(0, n) for _ in range(n))]
+        if n >= 2:
+            iv[rng.randrange(n)] = iv[rng.randrange(n)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        want = Graph(n, [(u, v) for u, v in pairs if max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1])])
+        assert intersection_graph(IntervalModel(tuple(iv))) == want, iv
+        equal += sum(iv[u] == iv[v] for u, v in pairs)
+        touching += sum(iv[u][1] == iv[v][0] or iv[v][1] == iv[u][0] for u, v in pairs)
+    assert equal >= 300 and touching >= 1000, (equal, touching)
+
+
 def test_min_degree_peel_degeneracy():
     order, degeneracy = min_degree_peel(path_graph(6))
     assert sorted(order) == list(range(6))

@@ -15,6 +15,7 @@ from romanenum.families import (
 from romanenum.graphs import Graph, bit, mask_of
 from romanenum.oracle import exists_minimal_geq, oracle_all_minimal, property_holders
 from romanenum.roman import (
+    TwoSetContext,
     UnsupportedRoute,
     Variant,
     add_one,
@@ -141,6 +142,20 @@ def test_canonical_rdf_and_valid_two_set():
     assert not valid_two_set(p4, mask_of([0, 1]))
 
 
+def test_context_validity_is_valid_two_set():
+    # every 2-set of random graphs: the context's O(|A|) test against the
+    # definition
+    rng = random.Random(0x2C7)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        g = random_graph(rng.randint(0, 8), rng.uniform(0.1, 0.9), rng)
+        for a in range(1 << g.n):
+            want = valid_two_set(g, a)
+            assert TwoSetContext(g, a, Variant.CRDF).valid() == want, (g.edges(), a)
+            seen[want] += 1
+    assert min(seen.values()) >= 1000, seen
+
+
 def test_canonical_rdf_is_minimal_rdf_iff_valid():
     rng = random.Random(99)
     for _ in range(200):
@@ -204,16 +219,14 @@ def test_constraint_probes_hold_on_random_graphs():
                         assert two_drop_iff_no_private(g, f, v, variant)
 
 
-def test_perfect_variant_fails_zero_raise():
-    # the perfect variant is not closed under raising 0s: raising one of two
-    # 0-vertices that share their unique 2-neighbor can orphan the other...
-    # actually raising keeps 0-vertices' counts; what breaks is the lowering
-    # biconditional; document the raise direction still holds:
+def test_perfect_variant_survives_zero_raise_not_two_drop():
+    # raising a 0 to 1 changes no other 0-vertex's count of 2-neighbors, so
+    # prdf survives it; lowering the center of a star to 1 leaves the leaves,
+    # its external private neighbors, with no 2-neighbor, so prdf breaks
     p3 = path_graph(3)
     f = (2, 0, 1)
     assert is_variant(p3, f, Variant.PRDF)
     assert is_variant(p3, add_one(f, bit(1)), Variant.PRDF)
-    # and lowering a 2 with no external private can still break perfection:
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     h = (2, 0, 0, 0)
     assert is_variant(star, h, Variant.PRDF)
