@@ -1,63 +1,5 @@
-"""Enumeration of minimal Roman domination functions and variants."""
+"""Enumeration of minimal Roman domination functions and variants.
 
-from .graphs import (
-    CobipartitePartition,
-    Graph,
-    GraphFormatError,
-    IntervalModel,
-    bit,
-    bits,
-    closed_neighborhood,
-    induced_subgraph,
-    intersection_graph,
-    is_connected_set,
-    is_dominating,
-    mask_of,
-    open_neighborhood,
-    parse_graph,
-    parse_intervals,
-    private_neighbors,
-    recognize_cobipartite,
-    validate_interval_model,
-)
-from .roman import (
-    Variant,
-    canonical_rdf,
-    extension_check,
-    format_function,
-    is_minimal_variant,
-    is_variant,
-    leq,
-    parse_function,
-    valid_two_set,
-)
-
-__all__ = [
-    "CobipartitePartition",
-    "Graph",
-    "GraphFormatError",
-    "IntervalModel",
-    "Variant",
-    "bit",
-    "bits",
-    "canonical_rdf",
-    "closed_neighborhood",
-    "extension_check",
-    "format_function",
-    "induced_subgraph",
-    "intersection_graph",
-    "is_connected_set",
-    "is_dominating",
-    "is_minimal_variant",
-    "is_variant",
-    "leq",
-    "mask_of",
-    "open_neighborhood",
-    "parse_function",
-    "parse_graph",
-    "parse_intervals",
-    "private_neighbors",
-    "recognize_cobipartite",
-    "valid_two_set",
-    "validate_interval_model",
-]
+The package root binds no names: import them from the submodules
+(`romanenum.graphs`, `romanenum.roman`, `romanenum.fixed_two`, ...).
+"""

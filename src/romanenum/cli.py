@@ -208,7 +208,7 @@ def cmd_gadget(ns: argparse.Namespace) -> int:
         if ns.hypergraph is None:
             raise GraphFormatError("split gadget needs --hypergraph FILE")
         h = parse_hypergraph(_read_text(ns.hypergraph))
-        inst = gadget_split_from_hypergraph(h, allow_universal=ns.allow_universal)
+        inst = gadget_split_from_hypergraph(h)
     else:  # pragma: no cover - argparse restricts choices
         raise GraphFormatError(f"unknown gadget kind {kind}")
 
@@ -312,11 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, variants=("rdf", "mrdf", "trdf", "crdf")):
+    def common(p, variants=("rdf", "mrdf", "trdf", "crdf"), streams=True):
         p.add_argument("--graph", required=False, help="graph file ('n m' header + edge lines)")
         p.add_argument("--variant", choices=variants, default="rdf")
         p.add_argument("--output", help="write results here instead of stdout")
-        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+        if streams:  # check prints a report, not functions
+            p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
 
     p = sub.add_parser("enumerate", help="stream all minimal functions of a variant")
     common(p)
@@ -340,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true")
 
     p = sub.add_parser("check", help="explain whether a function is (minimally) of a variant")
-    common(p, variants=("rdf", "mrdf", "trdf", "crdf", "prdf"))
+    common(p, variants=("rdf", "mrdf", "trdf", "crdf", "prdf"), streams=False)
     p.add_argument("--function", required=True, help="digit string, e.g. 2002")
 
     p = sub.add_parser("gadget", help="build a reduction instance")
@@ -350,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="vertex set U for mrdf-extension")
     p.add_argument("--hypergraph", help="hypergraph file for split-transversal")
     p.add_argument("--strict", action="store_true", help="enforce the exactly-(2,2) occurrence discipline")
-    p.add_argument("--allow-universal", action="store_true", help="accept hypergraphs with a universal element")
     p.add_argument("--out", help="write PREFIX.graph / PREFIX.labels / PREFIX.two_set|prefunction")
     p.add_argument("--output", help="write stdout form here instead")
 

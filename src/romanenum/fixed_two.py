@@ -267,21 +267,17 @@ class WindowTables:
         return True
 
     def start_mask(self, x: int, y: int) -> int:
-        """Every z whose window (x, y, z) passes the start probes."""
+        """Every z whose window (x, y, z) passes the start probes; the start
+        test is that bit and _keeps_private."""
         return self._needing_both(self.s, x, y)
 
     def middle_mask(self, w: int, x: int, y: int) -> int:
-        """Every z whose window (w, x, y, z) passes the middle probes."""
+        """Every z whose window (w, x, y, z) passes the middle probes; the
+        middle test is that bit and _keeps_private."""
         return self._needing_both(w, x, y)
-
-    def start_ok(self, x: int, y: int, z: int) -> bool:
-        return bool(self.start_mask(x, y) >> z & 1) and self._keeps_private(x, y, z)
 
     def end_ok(self, x: int, y: int, z: int) -> bool:
         return bool(self._needing_both(self.t, y, z) >> x & 1) and self._keeps_private(x, y, z)
-
-    def middle_ok(self, w: int, x: int, y: int, z: int) -> bool:
-        return bool(self.middle_mask(w, x, y) >> z & 1) and self._keeps_private(w, x, y, z)
 
 
 def fewest_connectors(model: IntervalModel, members, spare) -> Optional[int]:
@@ -395,7 +391,7 @@ class IntervalConnectedSolver(FixedTwoSolver):
                 got = [
                     (j, k, l)
                     for l in in_order(tables.middle_mask(w, x, y) & later[k])
-                    if tables.middle_ok(w, x, y, universe[l])
+                    if tables._keeps_private(w, x, y, universe[l])
                 ]
                 succ_memo[node] = got
             return got
@@ -455,7 +451,7 @@ class IntervalConnectedSolver(FixedTwoSolver):
             x, y = universe[i], universe[j]
             for k in in_order(tables.start_mask(x, y) & later[j]):
                 node = (i, j, k)
-                if tables.start_ok(x, y, universe[k]) and reaches_sink(node):
+                if tables._keeps_private(x, y, universe[k]) and reaches_sink(node):
                     yield from walk(node)
 
 

@@ -14,29 +14,20 @@ extension questions about minimal Roman domination variants:
                               variant completions on a split graph, related
                               by an explicit bijection.
 
-Each builder returns a GadgetInstance bundling the constructed graph, the
-distinguished 2-set (or partial function), per-vertex role labels in a fixed
-index layout, the source instance, and structural certificates checked at
-build time.  The SAT builders accept hand-sized instances by default; strict
-mode additionally enforces the exactly-(2,2) occurrence discipline together
-with the degree/degeneracy bounds it buys.
+Each builder checks its source instance and returns a GadgetInstance
+bundling the constructed graph, the distinguished 2-set (or partial
+function), per-vertex role labels in a fixed index layout, and the source
+instance.  The SAT builders accept hand-sized instances by default; strict
+mode additionally enforces the exactly-(2,2) occurrence discipline, which
+buys the degree and degeneracy bounds above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .graphs import (
-    Graph,
-    bipartition,
-    bit,
-    bits,
-    has_universal_vertex,
-    is_clique,
-    mask_of,
-    min_degree_peel,
-)
+from .graphs import Graph, bit, bits, mask_of
 from .oracle import CnfInstance, Hypergraph
 from .roman import RomanFunction
 
@@ -52,8 +43,7 @@ class GadgetInstance:
     Exactly one of fixed_two / prefunction is set: non-emptiness gadgets
     carry the distinguished 2-set A, extension gadgets carry the partial
     function to dominate.  labels[v] names the role of vertex v using the
-    source instance's own indexing; certificates holds the structural
-    properties validated at build time.
+    source instance's own indexing.
     """
 
     graph: Graph
@@ -61,17 +51,9 @@ class GadgetInstance:
     prefunction: Optional[RomanFunction]
     labels: Tuple[str, ...]
     source: object
-    certificates: dict = field(default_factory=dict)
 
     def vertex_named(self, label: str) -> int:
         return self.labels.index(label)
-
-
-def _require_bipartite(g: Graph, what: str) -> tuple:
-    sides = bipartition(g)
-    if sides is None:
-        raise GadgetError(f"{what}: constructed graph is not bipartite")
-    return sides
 
 
 def _sat_layout(c: CnfInstance, with_chain: bool):
@@ -130,26 +112,7 @@ def gadget_crdf_from_sat(c: CnfInstance, strict: bool = False) -> GadgetInstance
     """
     c.validate_monotone(strict=strict)
     g, a, labels = _sat_layout(c, with_chain=True)
-    n, m = c.num_vars, len(c.clauses)
-    if g.n != 3 * n + m + 2 * (n - 1):
-        raise GadgetError("vertex count mismatch")
-    sides = _require_bipartite(g, "crdf sat gadget")
-    certificates = {
-        "bipartition": sides,
-        "vertex_count": g.n,
-        "vertex_count_formula": "3n + m + 2(n-1)",
-    }
-    if strict:
-        max_deg = max(g.degree(v) for v in range(g.n))
-        if max_deg > 4:
-            raise GadgetError(f"max degree {max_deg} exceeds 4")
-        order, degeneracy = min_degree_peel(g)
-        if degeneracy > 2:
-            raise GadgetError(f"degeneracy {degeneracy} exceeds 2")
-        certificates["max_degree"] = max_deg
-        certificates["degeneracy"] = degeneracy
-        certificates["elimination_order"] = order
-    return GadgetInstance(g, a, None, labels, c, certificates)
+    return GadgetInstance(g, a, None, labels, c)
 
 
 def gadget_trdf_from_sat(c: CnfInstance, strict: bool = False) -> GadgetInstance:
@@ -163,21 +126,7 @@ def gadget_trdf_from_sat(c: CnfInstance, strict: bool = False) -> GadgetInstance
     """
     c.validate_monotone(strict=strict)
     g, a, labels = _sat_layout(c, with_chain=False)
-    n, m = c.num_vars, len(c.clauses)
-    if g.n != 3 * n + m:
-        raise GadgetError("vertex count mismatch")
-    sides = _require_bipartite(g, "trdf sat gadget")
-    certificates = {
-        "bipartition": sides,
-        "vertex_count": g.n,
-        "vertex_count_formula": "3n + m",
-    }
-    if strict:
-        max_deg = max(g.degree(v) for v in range(g.n))
-        if max_deg > 3:
-            raise GadgetError(f"max degree {max_deg} exceeds 3")
-        certificates["max_degree"] = max_deg
-    return GadgetInstance(g, a, None, labels, c, certificates)
+    return GadgetInstance(g, a, None, labels, c)
 
 
 def gadget_maxrd_from_extds(g: Graph, u: int) -> GadgetInstance:
@@ -214,28 +163,19 @@ def gadget_maxrd_from_extds(g: Graph, u: int) -> GadgetInstance:
         values[wv(v)] = 2
     values[q] = 1
     values[t] = 1
-    prefunction = tuple(values)
-    sides = _require_bipartite(built, "extension gadget")
-    certificates = {
-        "bipartition": sides,
-        "vertex_count": built.n,
-        "vertex_count_formula": "2|V| + 4",
-    }
-    return GadgetInstance(built, None, prefunction, labels, (g, u), certificates)
+    return GadgetInstance(built, None, tuple(values), labels, (g, u))
 
 
-def gadget_split_from_hypergraph(h: Hypergraph, allow_universal: bool = False) -> GadgetInstance:
+def gadget_split_from_hypergraph(h: Hypergraph) -> GadgetInstance:
     """Split-graph gadget: minimal transversals of a hypergraph become
     connected-variant completions of A = {a}.
 
     Vertices a, b and one u_i per universe element form a clique; one w_j per
     hyperedge is adjacent to the u_i of its members.  The map sending a
     completion g to {i : g(u_i) = 1} is a bijection onto the minimal
-    transversals.  Requires at least one hyperedge and, by default, no
-    universal element (an element in every hyperedge makes its u_i a
-    universal vertex, which the advertised graph class excludes; the
-    completion/transversal bijection itself still holds, so allow_universal
-    lifts the restriction for testing).
+    transversals.  Requires at least one hyperedge and no universal element
+    (an element in every hyperedge makes its u_i a universal vertex, which
+    the advertised graph class excludes).
     """
     n, m = h.universe, len(h.edges)
     if m == 0:
@@ -243,7 +183,7 @@ def gadget_split_from_hypergraph(h: Hypergraph, allow_universal: bool = False) -
     common = h.edges[0]
     for e in h.edges[1:]:
         common &= e
-    if common and not allow_universal:
+    if common:
         raise GadgetError("hypergraph has a universal element")
     va, vb = 0, 1
     vu = lambda i: 2 + i
@@ -255,21 +195,7 @@ def gadget_split_from_hypergraph(h: Hypergraph, allow_universal: bool = False) -
             edges.append((vu(i), vw(j)))
     built = Graph(2 + n + m, edges)
     labels = tuple(["a", "b"] + [f"u_{i}" for i in range(n)] + [f"w_{j}" for j in range(m)])
-    clique_mask = mask_of(clique)
-    if not is_clique(built, clique_mask):
-        raise GadgetError("clique side broken")
-    for j in range(m):
-        if built.adj[vw(j)] & mask_of(vw(k) for k in range(m)):
-            raise GadgetError("independent side broken")
-    if has_universal_vertex(built) and not allow_universal:
-        raise GadgetError("constructed graph has a universal vertex")
-    certificates = {
-        "clique": clique_mask,
-        "independent": mask_of(vw(j) for j in range(m)),
-        "vertex_count": built.n,
-        "vertex_count_formula": "2 + n + m",
-    }
-    return GadgetInstance(built, bit(va), None, labels, h, certificates)
+    return GadgetInstance(built, bit(va), None, labels, h)
 
 
 def transversal_of(instance: GadgetInstance, f: RomanFunction) -> int:

@@ -98,12 +98,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj
 
@@ -162,29 +156,6 @@ def open_neighborhood(g: Graph, s: int) -> int:
     for v in bits(s):
         out |= g.adj[v]
     return out
-
-
-def private_neighbors(g: Graph, a: int, v: int) -> int:
-    """N[v] minus N[a - {v}], the private closed neighbors of v w.r.t. a.
-
-    v must be a member of a.
-    """
-    if not a >> v & 1:
-        raise ValueError(f"vertex {v} is not in the set")
-    return g.cadj[v] & ~closed_neighborhood(g, a & ~bit(v))
-
-
-def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the mask, plus the new-index -> old-index table."""
-    old = tuple(bits(s))
-    pos = {v: i for i, v in enumerate(old)}
-    edges = []
-    for i, v in enumerate(old):
-        rest = g.adj[v] & s
-        for u in bits(rest):
-            if u > v:
-                edges.append((i, pos[u]))
-    return Graph(len(old), edges), old
 
 
 def is_dominating(g: Graph, s: int) -> bool:
@@ -272,11 +243,6 @@ def _two_color(rows) -> Optional[tuple[int, int]]:
     return parts[0], parts[1]
 
 
-def bipartition(g: Graph) -> Optional[tuple[int, int]]:
-    """Two-color the graph; returns the color-class masks or None."""
-    return _two_color(g.adj)
-
-
 def recognize_cobipartite(g: Graph) -> Optional[CobipartitePartition]:
     """Partition the vertices into two cliques, or None if impossible.
 
@@ -319,27 +285,6 @@ def intersection_graph(m: IntervalModel) -> Graph:
         edges.extend((u, v) for u in bits(still_open))
         still_open |= bit(v)
     return Graph(len(iv), edges)
-
-
-def min_degree_peel(g: Graph) -> tuple[list[int], int]:
-    """Repeatedly remove a minimum-degree vertex.
-
-    Returns the elimination order and the degeneracy (the largest degree seen
-    at removal time).  Ties break toward the smallest vertex index.
-    """
-    alive = g.full
-    order = []
-    degeneracy = 0
-    for _ in range(g.n):
-        best, best_deg = -1, MAX_VERTICES
-        for v in bits(alive):
-            d = (g.adj[v] & alive).bit_count()
-            if d < best_deg:
-                best, best_deg = v, d
-        order.append(best)
-        degeneracy = max(degeneracy, best_deg)
-        alive &= ~bit(best)
-    return order, degeneracy
 
 
 # ---------------------------------------------------------------- text format

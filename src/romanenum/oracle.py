@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, bit, bits
-from .roman import Variant, two_mask
+from .roman import Variant, pos_mask, two_mask
 
 DEFAULT_CAP = 10
 
@@ -143,12 +143,18 @@ def _check_cap(g: Graph, cap: int):
         raise CapExceeded(f"oracle capped at n={cap}, graph has n={g.n}")
 
 
-def oracle_all_minimal(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> set:
-    """All pointwise-minimal functions with the property, by full scan."""
+def _minimal_scan(g: Graph, variant: Variant, cap: int):
+    """Indices of the pointwise-minimal holders, with the positive-set and
+    2-set masks of all 3^n functions."""
     _check_cap(g, cap)
     pos, m2, wt = _digit_tables(g.n)
     flags = _variant_flags(g, variant, pos, m2)
-    minimal = _minimal_function_indices(flags, pos, m2, wt, g.n)
+    return _minimal_function_indices(flags, pos, m2, wt, g.n), pos, m2
+
+
+def oracle_all_minimal(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> set:
+    """All pointwise-minimal functions with the property, by full scan."""
+    minimal, _, _ = _minimal_scan(g, variant, cap)
     return set(_tuples_for_indices(minimal, g.n))
 
 
@@ -202,22 +208,8 @@ def oracle_fixed_two_slice(g: Graph, variant: Variant, a: int, cap: int = DEFAUL
 
 def exists_minimal_geq(g: Graph, f: tuple, variant: Variant, cap: int = DEFAULT_CAP) -> bool:
     """Is some pointwise-minimal holder >= f?  Full-scan extension oracle."""
-    _check_cap(g, cap)
-    pos, m2, wt = _digit_tables(g.n)
-    flags = _variant_flags(g, variant, pos, m2)
-    minimal = _minimal_function_indices(flags, pos, m2, wt, g.n)
-    if len(minimal) == 0:
-        return False
-    fpos = 0
-    ftwo = 0
-    for v, val in enumerate(f):
-        if val:
-            fpos |= 1 << v
-        if val == 2:
-            ftwo |= 1 << v
-    P = pos[minimal]
-    M = m2[minimal]
-    geq = ((fpos & ~P) == 0) & ((ftwo & ~M) == 0)
+    minimal, pos, m2 = _minimal_scan(g, variant, cap)
+    geq = ((pos_mask(f) & ~pos[minimal]) == 0) & ((two_mask(f) & ~m2[minimal]) == 0)
     return bool(geq.any())
 
 

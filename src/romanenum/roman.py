@@ -74,17 +74,6 @@ def two_mask(f: RomanFunction) -> int:
     return m
 
 
-def weight(f: RomanFunction) -> int:
-    return sum(f)
-
-
-def leq(f: RomanFunction, g: RomanFunction) -> bool:
-    """Pointwise order; errors on length mismatch."""
-    if len(f) != len(g):
-        raise ValueError("functions live on different vertex sets")
-    return all(a <= b for a, b in zip(f, g))
-
-
 def add_one(f: RomanFunction, mask: int) -> RomanFunction:
     """Raise every vertex of the mask by one."""
     out = list(f)

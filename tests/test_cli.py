@@ -328,6 +328,14 @@ def test_check_input_errors(capsys, p4_file):
     assert err.startswith("error:")
 
 
+def test_check_has_no_format_option(capsys, p4_file):
+    # check prints a report, so a --format it would ignore is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--graph", p4_file, "--function", "2002", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- gadget
 
 
@@ -392,12 +400,6 @@ def test_gadget_split_universal_handling(capsys, tmp_path):
     )
     assert code == 1
     assert "universal element" in err
-
-    code, out, _ = run(
-        capsys,
-        ["gadget", "--kind", "split-transversal", "--hypergraph", str(nested), "--allow-universal"],
-    )
-    assert code == 0
 
 
 def test_gadget_missing_inputs(capsys):

@@ -1,0 +1,96 @@
+"""Every function, class and method that a CLI start compiles is used.
+
+The modules `import romanenum.cli` loads are parsed with `ast`.  Each
+top-level function or class in them, and each method whose name is not a
+dunder, must be used somewhere in `src/romanenum/` or `perfbench/` outside
+its own definition.  A use is a name or an attribute that is read, or a
+string constant equal to the name (the benchmark's tracer swaps functions by
+name).  Tests do not count: code that only tests call does not belong in
+the package.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "romanenum"
+CHECKED = ("graphs", "roman", "fixed_two", "engine", "cli")
+SEARCHED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+# public names kept without a caller in the package, one reason each
+ALLOWED = {
+    "extension_check": "library API for the paper's extension problem",
+    "zero_raise_keeps_property": "library API for the paper's first nice-property condition",
+    "two_drop_iff_no_private": "library API for the paper's second nice-property condition",
+}
+
+
+def definitions(tree):
+    """(name, node) for every top-level function or class and every
+    non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name, item
+
+
+def used_name(node):
+    """The name a node uses, or None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def dead_names(checked, searched):
+    """Names defined in the `checked` trees that no node of the `searched`
+    trees uses outside the definition itself."""
+    uses = {}  # name -> the nodes using it
+    for tree in searched:
+        for node in ast.walk(tree):
+            name = used_name(node)
+            if name is not None:
+                uses.setdefault(name, []).append(node)
+    dead = []
+    for module, tree in checked:
+        for name, definition in definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(id(node) not in inside for node in uses.get(name, ())):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_every_compiled_name_is_used():
+    searched = {path: ast.parse(path.read_text()) for path in SEARCHED}
+    checked = [(module, searched[PACKAGE / f"{module}.py"]) for module in CHECKED]
+    dead = dead_names(checked, searched.values())
+    # the allowlist holds exactly the unused names: no more, and none that
+    # has since found a caller
+    assert sorted(name.split(".")[-1] for name in dead) == sorted(ALLOWED)
+
+
+def test_the_scan_sees_what_it_must():
+    defining = ast.parse(
+        "def called(): pass\n"
+        "def recursive(k): return recursive(k - 1)\n"
+        "def swapped(): pass\n"
+        "def unused(): pass\n"
+        "class Kept:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): return self.method\n"
+        "    def read(self): pass\n"
+    )
+    using = ast.parse("called()\nsetattr(m, 'swapped', None)\nKept().read()\nunused = 1\n")
+    assert dead_names([("m", defining)], [defining, using]) == [
+        "m.recursive",
+        "m.unused",
+        "m.method",
+    ]

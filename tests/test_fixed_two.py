@@ -304,14 +304,16 @@ def test_window_masks_match_the_connectivity_probes():
             t = max(bits(ctx.pos0), key=lambda v: iv[v][1])
             tables = WindowTables(g, ctx, s, t)
             for x, y, z in permutations(universe, 3):
-                for test, probe in ((tables.start_ok, probe_start), (tables.end_ok, probe_end)):
+                start_ok = bool(tables.start_mask(x, y) >> z & 1) and tables._keeps_private(x, y, z)
+                for got, probe in ((start_ok, probe_start), (tables.end_ok(x, y, z), probe_end)):
                     want = probe(tables, x, y, z)
-                    assert test(x, y, z) == want, (model, g.edges(), ctx.a, x, y, z)
+                    assert got == want, (model, g.edges(), ctx.a, x, y, z)
                     passed[probe] += want
                     checked += 1
             for w, x, y, z in permutations(universe, 4):
                 want = probe_middle(tables, w, x, y, z)
-                assert tables.middle_ok(w, x, y, z) == want, (model, g.edges(), ctx.a, w, x, y, z)
+                got = bool(tables.middle_mask(w, x, y) >> z & 1) and tables._keeps_private(w, x, y, z)
+                assert got == want, (model, g.edges(), ctx.a, w, x, y, z)
                 passed[probe_middle] += want
                 checked += 1
     assert checked > 10000, checked

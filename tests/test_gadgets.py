@@ -1,4 +1,4 @@
-"""Reduction gadgets: layouts, certificates, and source/target equivalences.
+"""Reduction gadgets: layouts, graph properties, and source/target equivalences.
 
 Every equivalence is checked with the exhaustive oracle on hand-sized
 instances: satisfiability against completion non-emptiness, dominating-set
@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from romanenum.families import path_graph, random_graph
+from romanenum.families import complete_graph, path_graph, random_graph
 from romanenum.gadgets import (
     GadgetError,
     gadget_crdf_from_sat,
@@ -19,7 +19,7 @@ from romanenum.gadgets import (
     gadget_trdf_from_sat,
     transversal_of,
 )
-from romanenum.graphs import Graph, bit, bits, is_clique, mask_of
+from romanenum.graphs import Graph, bit, bits, has_universal_vertex, is_clique, mask_of
 from romanenum.oracle import (
     CnfInstance,
     Hypergraph,
@@ -53,6 +53,32 @@ STRICT_22 = CnfInstance(
 )
 
 
+def assert_sides(inst, left):
+    """Every edge joins a vertex whose label starts with a prefix in `left`
+    to one whose label does not, so the labels name a bipartition."""
+    side = mask_of(v for v, name in enumerate(inst.labels) if name.split("_")[0] in left)
+    for u, v in inst.graph.edges():
+        assert (side >> u & 1) != (side >> v & 1), (inst.labels[u], inst.labels[v])
+
+
+SAT_LEFT = ("v", "~v", "u")  # literals and chain u's; selectors, clauses, pendants opposite
+
+
+def max_degree(g):
+    return max(row.bit_count() for row in g.adj)
+
+
+def degeneracy(g):
+    """The largest degree seen when a vertex of least degree is removed
+    again and again."""
+    alive, worst = g.full, 0
+    while alive:
+        d, v = min(((g.adj[v] & alive).bit_count(), v) for v in bits(alive))
+        worst = max(worst, d)
+        alive &= ~bit(v)
+    return worst
+
+
 # ------------------------------------------------------------- SAT gadgets
 
 
@@ -66,8 +92,7 @@ def test_crdf_sat_gadget_layout():
     )
     assert inst.fixed_two == mask_of([inst.vertex_named("w_1"), inst.vertex_named("w_2"), inst.vertex_named("u_1")])
     assert inst.prefunction is None
-    assert "bipartition" in inst.certificates
-    assert inst.certificates["vertex_count"] == g.n
+    assert_sides(inst, SAT_LEFT)
     # selectors see exactly their two literal vertices (plus chain)
     w1 = inst.vertex_named("w_1")
     assert g.adj[w1] & mask_of([inst.vertex_named("v_1"), inst.vertex_named("~v_1")]) == mask_of(
@@ -81,6 +106,8 @@ def test_crdf_sat_gadget_layout():
 def test_crdf_sat_gadget_equivalence():
     for c in SAT_SMALL:
         inst = gadget_crdf_from_sat(c)
+        assert inst.graph.n == 3 * c.num_vars + len(c.clauses) + 2 * (c.num_vars - 1)
+        assert_sides(inst, SAT_LEFT)
         cap = inst.graph.n
         completions = oracle_fixed_two(inst.graph, Variant.CRDF, inst.fixed_two, cap=cap)
         assert bool(completions) == (oracle_sat(c) is not None), c
@@ -91,6 +118,7 @@ def test_trdf_sat_gadget_equivalence():
     for c in SAT_SMALL + extra:
         inst = gadget_trdf_from_sat(c)
         assert inst.graph.n == 3 * c.num_vars + len(c.clauses)
+        assert_sides(inst, SAT_LEFT)
         cap = inst.graph.n
         completions = oracle_fixed_two(inst.graph, Variant.TRDF, inst.fixed_two, cap=cap)
         assert bool(completions) == (oracle_sat(c) is not None), c
@@ -107,14 +135,17 @@ def test_strict_mode_certificates():
     STRICT_22.validate_monotone(strict=True)  # the fixture really is (2,2)
     crdf = gadget_crdf_from_sat(STRICT_22, strict=True)
     assert crdf.graph.n == 36
-    assert crdf.certificates["max_degree"] <= 4
-    assert crdf.certificates["degeneracy"] <= 2
-    order = crdf.certificates["elimination_order"]
-    assert sorted(order) == list(range(36))
+    assert_sides(crdf, SAT_LEFT)
+    assert max_degree(crdf.graph) <= 4
+    assert degeneracy(crdf.graph) <= 2
 
     trdf = gadget_trdf_from_sat(STRICT_22, strict=True)
     assert trdf.graph.n == 26
-    assert trdf.certificates["max_degree"] <= 3
+    assert_sides(trdf, SAT_LEFT)
+    assert max_degree(trdf.graph) <= 3
+    assert degeneracy(trdf.graph) <= 2
+    # the peel itself, on graphs of known degeneracy
+    assert [degeneracy(g) for g in (path_graph(6), complete_graph(4), Graph(3, []))] == [1, 3, 0]
 
 
 def test_strict_mode_rejects_loose_instances():
@@ -152,6 +183,7 @@ def test_extension_gadget_layout_and_prefunction():
     assert f[inst.vertex_named("q")] == 1
     assert f[inst.vertex_named("t")] == 1
     assert sum(f) == 6
+    assert_sides(inst, ("w", "q", "s"))
     # w_v is adjacent to x over the closed neighborhood
     w1 = inst.vertex_named("w_1")
     assert g.adj[w1] == mask_of([inst.vertex_named("x_0"), inst.vertex_named("x_1"), inst.vertex_named("x_2")])
@@ -178,6 +210,7 @@ def test_extension_gadget_equivalence_random():
         g = random_graph(n, rng.uniform(0.2, 0.8), rng)
         u = rng.getrandbits(n)
         inst = gadget_maxrd_from_extds(g, u)
+        assert_sides(inst, ("w", "q", "s"))
         expect = exists_minimal_dominating_superset(g, u)
         got = exists_minimal_geq(inst.graph, inst.prefunction, Variant.MRDF, cap=inst.graph.n)
         assert got is expect, (g, u)
@@ -208,17 +241,23 @@ def random_hypergraph_no_universal(rng):
             return Hypergraph(n, tuple(edges))
 
 
+def assert_split_sides(inst):
+    """a, b and the u's form a clique, the w's an independent set."""
+    g = inst.graph
+    independent = mask_of(v for v, name in enumerate(inst.labels) if name.startswith("w_"))
+    assert is_clique(g, g.full & ~independent)
+    for v in bits(independent):
+        assert g.adj[v] & independent == 0
+
+
 def test_split_gadget_layout_and_certificates():
-    h = Hypergraph(3, (mask_of([0, 1]), mask_of([1, 2])))
-    inst = gadget_split_from_hypergraph(h, allow_universal=True)
+    h = Hypergraph(3, (mask_of([0, 1]), mask_of([2])))
+    inst = gadget_split_from_hypergraph(h)
     g = inst.graph
     assert g.n == 2 + 3 + 2
     assert inst.labels == ("a", "b", "u_0", "u_1", "u_2", "w_0", "w_1")
     assert inst.fixed_two == bit(0)
-    assert is_clique(g, inst.certificates["clique"])
-    indep = inst.certificates["independent"]
-    for v in bits(indep):
-        assert g.adj[v] & indep == 0
+    assert_split_sides(inst)
     # w_0 sees exactly the u's of its edge
     w0 = inst.vertex_named("w_0")
     assert g.adj[w0] == mask_of([inst.vertex_named("u_0"), inst.vertex_named("u_1")])
@@ -229,6 +268,8 @@ def test_split_gadget_bijection_random():
     for _ in range(14):
         h = random_hypergraph_no_universal(rng)
         inst = gadget_split_from_hypergraph(h)
+        assert_split_sides(inst)
+        assert not has_universal_vertex(inst.graph)
         completions = oracle_fixed_two(inst.graph, Variant.CRDF, inst.fixed_two, cap=inst.graph.n)
         images = [transversal_of(inst, f) for f in completions]
         assert len(images) == len(set(images)), "bijection collapsed two completions"
@@ -239,16 +280,9 @@ def test_split_gadget_universal_element_handling():
     nested = Hypergraph(3, (mask_of([0, 1]), mask_of([1, 2]), mask_of([1])))
     with pytest.raises(GadgetError):
         gadget_split_from_hypergraph(nested)
-    inst = gadget_split_from_hypergraph(nested, allow_universal=True)
-    completions = oracle_fixed_two(inst.graph, Variant.CRDF, inst.fixed_two, cap=inst.graph.n)
-    assert {transversal_of(inst, f) for f in completions} == oracle_transversals(nested)
-
     single = Hypergraph(1, (bit(0),))
     with pytest.raises(GadgetError):
         gadget_split_from_hypergraph(single)
-    inst = gadget_split_from_hypergraph(single, allow_universal=True)
-    completions = oracle_fixed_two(inst.graph, Variant.CRDF, inst.fixed_two, cap=inst.graph.n)
-    assert {transversal_of(inst, f) for f in completions} == {bit(0)}
 
 
 def test_split_gadget_rejects_edgeless_hypergraph():

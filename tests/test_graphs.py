@@ -9,7 +9,6 @@ from romanenum.graphs import (
     Graph,
     GraphFormatError,
     IntervalModel,
-    bipartition,
     bit,
     bits,
     closed_neighborhood,
@@ -18,19 +17,16 @@ from romanenum.graphs import (
     format_intervals,
     format_vertex_set,
     has_universal_vertex,
-    induced_subgraph,
     intersection_graph,
     is_clique,
     is_connected,
     is_connected_set,
     is_dominating,
     mask_of,
-    min_degree_peel,
     open_neighborhood,
     parse_graph,
     parse_intervals,
     parse_vertex_set,
-    private_neighbors,
     recognize_cobipartite,
     same_component,
     validate_cobipartite,
@@ -65,8 +61,6 @@ def test_graph_construction_and_accessors():
     assert g.n == 4
     assert g.edge_count() == 3
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
-    assert g.degree(1) == 2 and g.degree(0) == 1
-    assert g.has_edge(1, 0) and not g.has_edge(0, 2)
     assert g.adj[1] == 0b0101
     assert g.cadj[1] == 0b0111
     assert g.full == 0b1111
@@ -98,24 +92,6 @@ def test_neighborhoods_on_path():
     assert closed_neighborhood(p4, 0) == 0
     assert open_neighborhood(p4, mask_of([1])) == 0b0101
     assert open_neighborhood(p4, mask_of([0, 1])) == 0b0111
-
-
-def test_private_neighbors_on_path():
-    p4 = path_graph(4)
-    # vertex 0 within {0,3}: nothing else in the set reaches 0 or 1
-    assert private_neighbors(p4, mask_of([0, 3]), 0) == 0b0011
-    # vertex 0 within {0,2}: 1 is covered by 2, leaving only 0 itself
-    assert private_neighbors(p4, mask_of([0, 2]), 0) == 0b0001
-    with pytest.raises(ValueError):
-        private_neighbors(p4, mask_of([0, 2]), 1)
-
-
-def test_induced_subgraph_remaps_indices():
-    p4 = path_graph(4)
-    sub, old = induced_subgraph(p4, mask_of([0, 2, 3]))
-    assert old == (0, 2, 3)
-    assert sub.n == 3
-    assert sorted(sub.edges()) == [(1, 2)]
 
 
 def test_domination_predicate():
@@ -163,19 +139,12 @@ def test_clique_and_universal():
     assert not has_universal_vertex(p4)
 
 
-def test_bipartition_even_cycle_yes_odd_no():
-    assert bipartition(cycle_graph(6)) is not None
-    assert bipartition(cycle_graph(5)) is None
-    sides = bipartition(path_graph(4))
-    assert sides is not None and (sides[0] | sides[1]) == 0b1111
-    assert sides[0] & sides[1] == 0
-
-
 def test_cobipartite_recognition():
     p4 = path_graph(4)
     part = recognize_cobipartite(p4)
     assert part is not None
     assert validate_cobipartite(p4, part)
+    # the complement of C5 is C5, an odd cycle, which does not two-colour
     assert recognize_cobipartite(cycle_graph(5)) is None
     k4 = complete_graph(4)
     part = recognize_cobipartite(k4)
@@ -232,14 +201,6 @@ def test_intersection_graph_matches_pairwise_meeting():
     assert equal >= 300 and touching >= 1000, (equal, touching)
 
 
-def test_min_degree_peel_degeneracy():
-    order, degeneracy = min_degree_peel(path_graph(6))
-    assert sorted(order) == list(range(6))
-    assert degeneracy == 1
-    assert min_degree_peel(complete_graph(4))[1] == 3
-    assert min_degree_peel(Graph(3, []))[1] == 0
-
-
 def test_graph_file_round_trip():
     g = Graph(5, [(0, 1), (1, 4), (2, 3)])
     assert parse_graph(format_graph(g)) == g
@@ -286,8 +247,3 @@ def test_random_round_trips_seeded():
         ]
         g = Graph(n, edges)
         assert parse_graph(format_graph(g)) == g
-        sub, old = induced_subgraph(g, rng.getrandbits(n) if n else 0)
-        assert sub.n == len(old)
-        for i, u in enumerate(old):
-            for j, v in enumerate(old):
-                assert sub.has_edge(i, j) == g.has_edge(u, v)

@@ -24,7 +24,6 @@ from romanenum.roman import (
     format_function,
     is_minimal_variant,
     is_variant,
-    leq,
     minimality_report,
     parse_function,
     pos_mask,
@@ -32,7 +31,6 @@ from romanenum.roman import (
     two_drop_iff_no_private,
     two_mask,
     valid_two_set,
-    weight,
     zero_raise_keeps_property,
 )
 
@@ -55,15 +53,6 @@ def test_level_masks_and_weight():
     assert pos_mask(f) & ~two_mask(f) == 0b01100  # value 1
     assert two_mask(f) == 0b10001  # value 2
     assert pos_mask(f) == 0b11101
-    assert weight(f) == 6
-
-
-def test_pointwise_order():
-    assert leq((0, 1, 2), (0, 2, 2))
-    assert leq((0, 1, 2), (0, 1, 2))
-    assert not leq((1, 0, 0), (0, 2, 2))
-    with pytest.raises(ValueError):
-        leq((0, 1), (0, 1, 2))
 
 
 def test_add_sub_one():
