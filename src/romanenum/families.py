@@ -8,7 +8,6 @@ from .graphs import (
     CobipartitePartition,
     Graph,
     IntervalModel,
-    has_universal_vertex,
     intersection_graph,
     is_connected,
     mask_of,
@@ -27,11 +26,6 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_interval_model(n: int) -> IntervalModel:
-    """Unit intervals [i, i+1]; consecutive ones touch at the shared endpoint."""
-    return IntervalModel(tuple((i, i + 1) for i in range(n)))
 
 
 def double_link_chain(n: int) -> tuple[Graph, IntervalModel, int]:
@@ -103,16 +97,3 @@ def random_split_graph(n: int, p: float, rng: random.Random) -> Graph:
             edges.append((rng.randrange(k), v))
     return Graph(n, edges)
 
-
-def random_split_connected_no_universal(n: int, rng: random.Random) -> Graph:
-    """Connected split graph without a universal vertex (resampled).
-
-    Needs n >= 4: with 3 vertices every connected split graph has a vertex
-    adjacent to both others.
-    """
-    if n < 4:
-        raise ValueError("no such split graph below 4 vertices")
-    while True:
-        g = random_split_graph(n, 0.4, rng)
-        if is_connected(g) and not has_universal_vertex(g):
-            return g

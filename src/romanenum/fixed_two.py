@@ -43,7 +43,6 @@ from .graphs import (
     mask_of,
     recognize_cobipartite,
     same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
-    validate_cobipartite,
     validate_interval_model,
 )
 from .roman import (
@@ -128,17 +127,12 @@ class CobipartiteSolver(FixedTwoSolver):
     predicate does the filtering.
     """
 
-    def __init__(self, g: Graph, variant: Variant, part=None):
+    def __init__(self, g: Graph, variant: Variant):
         super().__init__(g)
         if variant not in (Variant.TRDF, Variant.CRDF):
             raise UnsupportedRoute(f"cobipartite solver handles trdf/crdf, not {variant.value}")
-        if part is None:
-            part = recognize_cobipartite(g)
-            if part is None:
-                raise UnsupportedRoute("graph is not cobipartite")
-        elif not validate_cobipartite(g, part):
-            raise ValueError("invalid cobipartite partition")
-        self.part = part
+        if recognize_cobipartite(g) is None:
+            raise UnsupportedRoute("graph is not cobipartite")
         self.variant = variant
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
@@ -458,7 +452,6 @@ class IntervalConnectedSolver(FixedTwoSolver):
 def solver_for(
     g: Graph,
     variant: Variant,
-    partition=None,
     model: Optional[IntervalModel] = None,
     class_hint: str = "auto",
 ) -> FixedTwoSolver:
@@ -483,17 +476,19 @@ def solver_for(
             raise UnsupportedRoute(
                 "trdf enumeration is implemented for cobipartite graphs only"
             )
-        return CobipartiteSolver(g, variant, partition)
+        return CobipartiteSolver(g, variant)
     if variant is Variant.CRDF:
         if class_hint == "cobipartite":
-            return CobipartiteSolver(g, variant, partition)
+            return CobipartiteSolver(g, variant)
         if class_hint == "interval":
             if model is None:
                 raise UnsupportedRoute("interval routing needs an interval model")
             return IntervalConnectedSolver(g, model)
         if class_hint == "auto":
-            if partition is not None or recognize_cobipartite(g) is not None:
-                return CobipartiteSolver(g, variant, partition)
+            try:
+                return CobipartiteSolver(g, variant)
+            except UnsupportedRoute:  # not cobipartite
+                pass
             if model is not None:
                 return IntervalConnectedSolver(g, model)
             raise UnsupportedRoute(

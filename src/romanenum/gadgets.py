@@ -16,10 +16,10 @@ extension questions about minimal Roman domination variants:
 
 Each builder checks its source instance and returns a GadgetInstance
 bundling the constructed graph, the distinguished 2-set (or partial
-function), per-vertex role labels in a fixed index layout, and the source
-instance.  The SAT builders accept hand-sized instances by default; strict
-mode additionally enforces the exactly-(2,2) occurrence discipline, which
-buys the degree and degeneracy bounds above.
+function) and per-vertex role labels in a fixed index layout.  The SAT
+builders accept hand-sized instances by default; strict mode additionally
+enforces the exactly-(2,2) occurrence discipline, which buys the degree and
+degeneracy bounds above.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class GadgetInstance:
     fixed_two: Optional[int]
     prefunction: Optional[RomanFunction]
     labels: Tuple[str, ...]
-    source: object
-
-    def vertex_named(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 def _sat_layout(c: CnfInstance, with_chain: bool):
@@ -112,7 +108,7 @@ def gadget_crdf_from_sat(c: CnfInstance, strict: bool = False) -> GadgetInstance
     """
     c.validate_monotone(strict=strict)
     g, a, labels = _sat_layout(c, with_chain=True)
-    return GadgetInstance(g, a, None, labels, c)
+    return GadgetInstance(g, a, None, labels)
 
 
 def gadget_trdf_from_sat(c: CnfInstance, strict: bool = False) -> GadgetInstance:
@@ -126,7 +122,7 @@ def gadget_trdf_from_sat(c: CnfInstance, strict: bool = False) -> GadgetInstance
     """
     c.validate_monotone(strict=strict)
     g, a, labels = _sat_layout(c, with_chain=False)
-    return GadgetInstance(g, a, None, labels, c)
+    return GadgetInstance(g, a, None, labels)
 
 
 def gadget_maxrd_from_extds(g: Graph, u: int) -> GadgetInstance:
@@ -163,7 +159,7 @@ def gadget_maxrd_from_extds(g: Graph, u: int) -> GadgetInstance:
         values[wv(v)] = 2
     values[q] = 1
     values[t] = 1
-    return GadgetInstance(built, None, tuple(values), labels, (g, u))
+    return GadgetInstance(built, None, tuple(values), labels)
 
 
 def gadget_split_from_hypergraph(h: Hypergraph) -> GadgetInstance:
@@ -195,17 +191,5 @@ def gadget_split_from_hypergraph(h: Hypergraph) -> GadgetInstance:
             edges.append((vu(i), vw(j)))
     built = Graph(2 + n + m, edges)
     labels = tuple(["a", "b"] + [f"u_{i}" for i in range(n)] + [f"w_{j}" for j in range(m)])
-    return GadgetInstance(built, bit(va), None, labels, h)
+    return GadgetInstance(built, bit(va), None, labels)
 
-
-def transversal_of(instance: GadgetInstance, f: RomanFunction) -> int:
-    """Element set {i : f(u_i) = 1} for a split-gadget completion, as a mask
-    over the source hypergraph's universe."""
-    h = instance.source
-    if not isinstance(h, Hypergraph):
-        raise TypeError("not a split-from-hypergraph instance")
-    out = 0
-    for i in range(h.universe):
-        if f[2 + i] == 1:
-            out |= 1 << i
-    return out

@@ -209,17 +209,6 @@ def is_connected(g: Graph) -> bool:
     return is_connected_set(g, g.full)
 
 
-def is_clique(g: Graph, s: int) -> bool:
-    for v in bits(s):
-        if s & ~g.cadj[v]:
-            return False
-    return True
-
-
-def has_universal_vertex(g: Graph) -> bool:
-    return any(g.cadj[v] == g.full for v in range(g.n))
-
-
 def _two_color(rows) -> Optional[tuple[int, int]]:
     """Two-color the graph with adjacency rows `rows`; returns the color-class
     masks or None."""
@@ -251,12 +240,6 @@ def recognize_cobipartite(g: Graph) -> Optional[CobipartitePartition]:
     """
     parts = _two_color([g.full & ~row for row in g.cadj])
     return None if parts is None else CobipartitePartition(*parts)
-
-
-def validate_cobipartite(g: Graph, part: CobipartitePartition) -> bool:
-    if part.c1 & part.c2 or (part.c1 | part.c2) != g.full:
-        return False
-    return is_clique(g, part.c1) and is_clique(g, part.c2)
 
 
 def validate_interval_model(g: Graph, m: IntervalModel) -> bool:

@@ -1,10 +1,14 @@
 """Exhaustive ground truth, independent of the enumeration machinery.
 
-Full 3^n scans over all functions (vectorized with numpy), minimal hitting
-sets and tiny SAT by brute force.  Everything here exists to check the
-polynomial-delay algorithms, so it deliberately avoids their theory: variant
-membership is evaluated from the definitions and minimality by comparing
-holders pointwise.
+This module keeps only what the `oracle` and `gadget` commands run: the full
+3^n scan over all functions (vectorized with numpy) behind `romanenum
+oracle`, and the hypergraph and CNF types and parsers behind `romanenum
+gadget`.  The scan exists to check the polynomial-delay algorithms, so it
+deliberately avoids their theory: variant membership is evaluated from the
+definitions and minimality by comparing holders pointwise.  The other
+brute-force references (hitting sets, SAT, dominating sets, the fixed-2-set
+slice and the extension oracle) only the tests call, so they live in
+tests/reference.py.
 
 numpy is imported inside the functions that use it, so importing the
 package (and the command-line front end) does not load it.
@@ -13,10 +17,9 @@ package (and the command-line front end) does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import Graph, bit, bits
-from .roman import Variant, pos_mask, two_mask
+from .graphs import Graph, GraphFormatError, _data_lines
+from .roman import Variant, two_mask
 
 DEFAULT_CAP = 10
 
@@ -158,59 +161,14 @@ def oracle_all_minimal(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> se
     return set(_tuples_for_indices(minimal, g.n))
 
 
-def property_holders(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> list[tuple]:
-    """Every function with the property, in index order."""
-    import numpy as np
-
-    _check_cap(g, cap)
-    pos, m2, wt = _digit_tables(g.n)
-    flags = _variant_flags(g, variant, pos, m2)
-    return _tuples_for_indices(np.flatnonzero(flags), g.n)
-
-
 def oracle_fixed_two(g: Graph, variant: Variant, a: int, cap: int = DEFAULT_CAP) -> set:
     """Minimal functions with the property whose 2-set equals a.
 
-    This filters the global minimal set; see oracle_fixed_two_slice for the
-    other reading (minimal within the fixed-2-set slice), which can be
-    strictly larger.
+    This filters the global minimal set.  The other reading, minimal within
+    the fixed-2-set slice, can be strictly larger; its reference is in
+    tests/reference.py.
     """
     return {f for f in oracle_all_minimal(g, variant, cap=cap) if two_mask(f) == a}
-
-
-def oracle_fixed_two_slice(g: Graph, variant: Variant, a: int, cap: int = DEFAULT_CAP) -> set:
-    """Minimal elements of {f : property holds, 2-set of f equals a}.
-
-    Enumerated directly over the 2^(n-|a|) slice members in weight order.
-    """
-    from .roman import is_variant
-
-    _check_cap(g, cap)
-    free = [v for v in range(g.n) if not a >> v & 1]
-    base = [2 if a >> v & 1 else 0 for v in range(g.n)]
-    minimal: list[int] = []
-    out = set()
-    for k in range(len(free) + 1):
-        for combo in combinations(free, k):
-            f = list(base)
-            ones = 0
-            for v in combo:
-                f[v] = 1
-                ones |= bit(v)
-            if not is_variant(g, tuple(f), variant):
-                continue
-            if any(m & ~ones == 0 for m in minimal):
-                continue
-            minimal.append(ones)
-            out.add(tuple(f))
-    return out
-
-
-def exists_minimal_geq(g: Graph, f: tuple, variant: Variant, cap: int = DEFAULT_CAP) -> bool:
-    """Is some pointwise-minimal holder >= f?  Full-scan extension oracle."""
-    minimal, pos, m2 = _minimal_scan(g, variant, cap)
-    geq = ((pos_mask(f) & ~pos[minimal]) == 0) & ((two_mask(f) & ~m2[minimal]) == 0)
-    return bool(geq.any())
 
 
 # ------------------------------------------------------------- hypergraphs
@@ -234,43 +192,26 @@ class Hypergraph:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Text format: header "n m", then m lines listing each edge's members."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+    rows = list(_data_lines(text))
     if not rows:
-        raise ValueError("empty hypergraph file")
-    n, m = (int(x) for x in rows[0].split())
+        raise GraphFormatError("empty hypergraph file")
+    lineno, header = rows[0]
+    try:
+        n, m = (int(x) for x in header.split())
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: header must be two integers 'n m'") from None
     if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edges, found {len(rows) - 1}")
+        raise GraphFormatError(f"expected {m} edges, found {len(rows) - 1}")
     edges = []
-    for line in rows[1:]:
-        members = [int(x) for x in line.split()]
+    for lineno, line in rows[1:]:
+        try:
+            members = [int(x) for x in line.split()]
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: edge members must be integers") from None
         if any(not 0 <= v < n for v in members):
-            raise ValueError(f"edge member out of range: {line}")
+            raise GraphFormatError(f"edge member out of range: {line}")
         edges.append(sum(1 << v for v in set(members)))
     return Hypergraph(n, tuple(edges))
-
-
-def format_hypergraph(h: Hypergraph) -> str:
-    lines = [f"{h.universe} {len(h.edges)}"]
-    lines.extend(" ".join(str(v) for v in bits(e)) for e in h.edges)
-    return "\n".join(lines) + "\n"
-
-
-def oracle_transversals(h: Hypergraph, cap: int = 20) -> set[int]:
-    """All inclusion-minimal hitting sets, as masks, by subset scan."""
-    if h.universe > cap:
-        raise CapExceeded(f"transversal oracle capped at {cap}")
-    out = set()
-    for s in range(1 << h.universe):
-        if any(not e & s for e in h.edges):
-            continue
-        if any(all((s & ~bit(x)) & e for e in h.edges) for x in bits(s)):
-            continue
-        out.add(s)
-    return out
 
 
 # ------------------------------------------------------------------- SAT
@@ -325,7 +266,9 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    num_vars = None
+    """DIMACS CNF: one problem line "p cnf <variables> <clauses>", then
+    0-terminated clauses; lines starting with "c" are comments."""
+    header = None
     clauses = []
     current: list[int] = []
     for raw in text.splitlines():
@@ -333,10 +276,15 @@ def parse_dimacs(text: str) -> CnfInstance:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if header is not None:
+                raise ValueError(f"second problem line: {line}")
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"bad problem line: {line}")
-            num_vars = int(fields[2])
+            try:
+                header = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise ValueError(f"bad problem line: {line}") from None
             continue
         for tok in line.split():
             lit = int(tok)
@@ -345,53 +293,11 @@ def parse_dimacs(text: str) -> CnfInstance:
                 current = []
             else:
                 current.append(lit)
-    if num_vars is None:
+    if header is None:
         raise ValueError("missing problem line")
     if current:
         raise ValueError("last clause not terminated by 0")
+    num_vars, num_clauses = header
+    if len(clauses) != num_clauses:
+        raise ValueError(f"expected {num_clauses} clauses, found {len(clauses)}")
     return CnfInstance(num_vars, tuple(clauses))
-
-
-def format_dimacs(c: CnfInstance) -> str:
-    lines = [f"p cnf {c.num_vars} {len(c.clauses)}"]
-    lines.extend(" ".join(str(lit) for lit in clause) + " 0" for clause in c.clauses)
-    return "\n".join(lines) + "\n"
-
-
-def oracle_sat(c: CnfInstance, cap: int = 20):
-    """First satisfying assignment as a bool tuple, or None."""
-    if c.num_vars > cap:
-        raise CapExceeded(f"sat oracle capped at {cap} variables")
-    for word in range(1 << c.num_vars):
-        assignment = [(word >> i) & 1 == 1 for i in range(c.num_vars)]
-        ok = True
-        for clause in c.clauses:
-            if not any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause):
-                ok = False
-                break
-        if ok:
-            return tuple(assignment)
-    return None
-
-
-# --------------------------------------------------------- dominating sets
-
-
-def exists_minimal_dominating_superset(g: Graph, u: int, cap: int = 20) -> bool:
-    """Is there an inclusion-minimal dominating set containing u?"""
-    if g.n > cap:
-        raise CapExceeded(f"dominating-set oracle capped at n={cap}")
-    from .graphs import closed_neighborhood
-
-    full = g.full
-    free = full & ~u
-    sub = free
-    while True:
-        d = u | sub
-        if closed_neighborhood(g, d) == full:
-            if all(closed_neighborhood(g, d & ~bit(v)) != full for v in bits(d)):
-                return True
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return False

@@ -295,15 +295,14 @@ def extension_check(
     g: Graph,
     f: RomanFunction,
     variant: Variant,
-    partition=None,
     model=None,
 ) -> bool:
     """Is there a minimal function of the variant that dominates f pointwise?
 
     Requires that no 1-vertex of f touch a 2-vertex; the answer then
     coincides with non-emptiness of the fixed-two-set completion at the
-    2-set of f, computed by the matching solver.  The brute-force reference
-    is oracle.exists_minimal_geq.
+    2-set of f, computed by the matching solver.  The brute-force reference,
+    a full scan for a minimal holder above f, is in tests/reference.py.
     """
     if len(f) != g.n:
         raise ValueError("function length does not match graph order")
@@ -316,7 +315,7 @@ def extension_check(
         )
     from . import fixed_two
 
-    solver = fixed_two.solver_for(g, variant, partition=partition, model=model)
+    solver = fixed_two.solver_for(g, variant, model=model)
     return solver.first(m2) is not None
 
 

@@ -1,0 +1,193 @@
+"""Brute-force references and generators that only the tests call.
+
+The package keeps what its commands run; the independent answers the tests
+check it against live here.  Each function is the definition read off
+directly: a full scan over functions, hitting sets, assignments or
+dominating sets, or a resampling generator.  Where a reference scans all
+3^n functions it reuses the oracle's vectorised tables.
+
+pytest does not collect this module (its name does not start with
+`test_`); the test modules import it by name from this directory.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+from romanenum.families import random_split_graph
+from romanenum.graphs import (
+    CobipartitePartition,
+    Graph,
+    IntervalModel,
+    bit,
+    bits,
+    closed_neighborhood,
+    is_connected,
+)
+from romanenum.oracle import (
+    DEFAULT_CAP,
+    CapExceeded,
+    CnfInstance,
+    Hypergraph,
+    _check_cap,
+    _digit_tables,
+    _minimal_scan,
+    _tuples_for_indices,
+    _variant_flags,
+)
+from romanenum.roman import RomanFunction, Variant, is_variant, pos_mask, two_mask
+
+# ------------------------------------------------------------- functions
+
+
+def property_holders(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> list[tuple]:
+    """Every function with the property, in index order."""
+    import numpy as np
+
+    _check_cap(g, cap)
+    pos, m2, wt = _digit_tables(g.n)
+    flags = _variant_flags(g, variant, pos, m2)
+    return _tuples_for_indices(np.flatnonzero(flags), g.n)
+
+
+def oracle_fixed_two_slice(g: Graph, variant: Variant, a: int, cap: int = DEFAULT_CAP) -> set:
+    """Minimal elements of {f : property holds, 2-set of f equals a}.
+
+    Enumerated directly over the 2^(n-|a|) slice members in weight order.
+    """
+    _check_cap(g, cap)
+    free = [v for v in range(g.n) if not a >> v & 1]
+    base = [2 if a >> v & 1 else 0 for v in range(g.n)]
+    minimal: list[int] = []
+    out = set()
+    for k in range(len(free) + 1):
+        for combo in combinations(free, k):
+            f = list(base)
+            ones = 0
+            for v in combo:
+                f[v] = 1
+                ones |= bit(v)
+            if not is_variant(g, tuple(f), variant):
+                continue
+            if any(m & ~ones == 0 for m in minimal):
+                continue
+            minimal.append(ones)
+            out.add(tuple(f))
+    return out
+
+
+def exists_minimal_geq(g: Graph, f: tuple, variant: Variant, cap: int = DEFAULT_CAP) -> bool:
+    """Is some pointwise-minimal holder >= f?  Full-scan extension oracle."""
+    minimal, pos, m2 = _minimal_scan(g, variant, cap)
+    geq = ((pos_mask(f) & ~pos[minimal]) == 0) & ((two_mask(f) & ~m2[minimal]) == 0)
+    return bool(geq.any())
+
+
+# ------------------------------------------------------------- hypergraphs
+
+
+def oracle_transversals(h: Hypergraph, cap: int = 20) -> set[int]:
+    """All inclusion-minimal hitting sets, as masks, by subset scan."""
+    if h.universe > cap:
+        raise CapExceeded(f"transversal oracle capped at {cap}")
+    out = set()
+    for s in range(1 << h.universe):
+        if any(not e & s for e in h.edges):
+            continue
+        if any(all((s & ~bit(x)) & e for e in h.edges) for x in bits(s)):
+            continue
+        out.add(s)
+    return out
+
+
+def transversal_of(h: Hypergraph, f: RomanFunction) -> int:
+    """Element set {i : f(u_i) = 1} for a completion of the split gadget
+    built from h, as a mask over h's universe."""
+    out = 0
+    for i in range(h.universe):
+        if f[2 + i] == 1:
+            out |= 1 << i
+    return out
+
+
+# ------------------------------------------------------------------- SAT
+
+
+def oracle_sat(c: CnfInstance, cap: int = 20):
+    """First satisfying assignment as a bool tuple, or None."""
+    if c.num_vars > cap:
+        raise CapExceeded(f"sat oracle capped at {cap} variables")
+    for word in range(1 << c.num_vars):
+        assignment = [(word >> i) & 1 == 1 for i in range(c.num_vars)]
+        ok = True
+        for clause in c.clauses:
+            if not any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause):
+                ok = False
+                break
+        if ok:
+            return tuple(assignment)
+    return None
+
+
+# --------------------------------------------------------- dominating sets
+
+
+def exists_minimal_dominating_superset(g: Graph, u: int, cap: int = 20) -> bool:
+    """Is there an inclusion-minimal dominating set containing u?"""
+    if g.n > cap:
+        raise CapExceeded(f"dominating-set oracle capped at n={cap}")
+    full = g.full
+    free = full & ~u
+    sub = free
+    while True:
+        d = u | sub
+        if closed_neighborhood(g, d) == full:
+            if all(closed_neighborhood(g, d & ~bit(v)) != full for v in bits(d)):
+                return True
+        if sub == 0:
+            break
+        sub = (sub - 1) & free
+    return False
+
+
+# ---------------------------------------------------------- graph classes
+
+
+def is_clique(g: Graph, s: int) -> bool:
+    for v in bits(s):
+        if s & ~g.cadj[v]:
+            return False
+    return True
+
+
+def has_universal_vertex(g: Graph) -> bool:
+    return any(g.cadj[v] == g.full for v in range(g.n))
+
+
+def validate_cobipartite(g: Graph, part: CobipartitePartition) -> bool:
+    if part.c1 & part.c2 or (part.c1 | part.c2) != g.full:
+        return False
+    return is_clique(g, part.c1) and is_clique(g, part.c2)
+
+
+# ---------------------------------------------------------------- families
+
+
+def path_interval_model(n: int) -> IntervalModel:
+    """Unit intervals [i, i+1]; consecutive ones touch at the shared endpoint."""
+    return IntervalModel(tuple((i, i + 1) for i in range(n)))
+
+
+def random_split_connected_no_universal(n: int, rng: random.Random) -> Graph:
+    """Connected split graph without a universal vertex (resampled).
+
+    Needs n >= 4: with 3 vertices every connected split graph has a vertex
+    adjacent to both others.
+    """
+    if n < 4:
+        raise ValueError("no such split graph below 4 vertices")
+    while True:
+        g = random_split_graph(n, 0.4, rng)
+        if is_connected(g) and not has_universal_vertex(g):
+            return g

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from romanenum.cli import main
-from romanenum.families import path_interval_model
 from romanenum.gadgets import gadget_maxrd_from_extds
 from romanenum.graphs import Graph, bit, format_graph, format_intervals, parse_graph
 from romanenum.oracle import oracle_all_minimal
 from romanenum.roman import Variant, format_function
+
+from reference import path_interval_model
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 
@@ -409,6 +410,19 @@ def test_gadget_missing_inputs(capsys):
     code, _, err = run(capsys, ["gadget", "--kind", "split-transversal"])
     assert code == 1
     assert "--hypergraph" in err
+
+
+def test_gadget_rejects_a_cnf_whose_clauses_disagree_with_its_header(capsys, tmp_path):
+    for name, text in (
+        ("short.cnf", "p cnf 3 5\n1 2 0\n-1 -3 0\n"),
+        ("twice.cnf", "p cnf 2 2\np cnf 3 2\n1 2 0\n-1 -2 0\n"),
+    ):
+        cnf = tmp_path / name
+        cnf.write_text(text)
+        code, out, err = run(capsys, ["gadget", "--kind", "crdf-sat", "--cnf", str(cnf)])
+        assert code == 1, name
+        assert out == [], name
+        assert err.startswith("error: "), name
 
 
 # -------------------------------------------------------------------- gen

@@ -1,12 +1,14 @@
-"""Every function, class and method that a CLI start compiles is used.
+"""Every function, class and method in the package is used, and so is every
+test reference.
 
-The modules `import romanenum.cli` loads are parsed with `ast`.  Each
-top-level function or class in them, and each method whose name is not a
-dunder, must be used somewhere in `src/romanenum/` or `perfbench/` outside
-its own definition.  A use is a name or an attribute that is read, or a
-string constant equal to the name (the benchmark's tracer swaps functions by
-name).  Tests do not count: code that only tests call does not belong in
-the package.
+Each module under `src/romanenum/` is parsed with `ast`.  Each top-level
+function or class in it, and each method whose name is not a dunder, must
+be used somewhere in `src/romanenum/` or `perfbench/` outside its own
+definition.  A use is a name or an attribute that is read, or a string
+constant equal to the name (the benchmark's tracer swaps functions by
+name).  Tests do not count: code that only tests call belongs in
+`tests/reference.py`, and each name defined there must in turn be used
+somewhere under `tests/`.
 """
 
 import ast
@@ -14,8 +16,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "romanenum"
-CHECKED = ("graphs", "roman", "fixed_two", "engine", "cli")
-SEARCHED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = ROOT / "tests"
+REFERENCE = TESTS / "reference.py"
 
 # public names kept without a caller in the package, one reason each
 ALLOWED = {
@@ -68,13 +70,22 @@ def dead_names(checked, searched):
     return dead
 
 
-def test_every_compiled_name_is_used():
-    searched = {path: ast.parse(path.read_text()) for path in SEARCHED}
-    checked = [(module, searched[PACKAGE / f"{module}.py"]) for module in CHECKED]
-    dead = dead_names(checked, searched.values())
+def parsed(directory):
+    return {path: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
+
+
+def test_every_package_name_is_used():
+    package = parsed(PACKAGE)
+    searched = list(package.values()) + list(parsed(ROOT / "perfbench").values())
+    dead = dead_names([(path.stem, tree) for path, tree in package.items()], searched)
     # the allowlist holds exactly the unused names: no more, and none that
     # has since found a caller
     assert sorted(name.split(".")[-1] for name in dead) == sorted(ALLOWED)
+
+
+def test_every_reference_is_used_by_a_test():
+    tests = parsed(TESTS)
+    assert dead_names([("reference", tests[REFERENCE])], tests.values()) == []
 
 
 def test_the_scan_sees_what_it_must():

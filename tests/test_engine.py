@@ -10,7 +10,6 @@ from romanenum.engine import EnumerationStats, iter_minimal
 from romanenum.families import (
     complete_graph,
     path_graph,
-    path_interval_model,
     random_cobipartite,
     random_graph,
     random_interval_instance,
@@ -19,6 +18,8 @@ from romanenum.fixed_two import IntervalConnectedSolver, MrdfSolver, RdfSolver, 
 from romanenum.graphs import IntervalModel, intersection_graph
 from romanenum.oracle import oracle_all_minimal
 from romanenum.roman import Variant, two_mask
+
+from reference import path_interval_model
 
 
 def run_instances(rng):
@@ -31,9 +32,9 @@ def run_instances(rng):
         g = random_graph(n, rng.uniform(0.1, 0.9), rng)
         out.append((g, Variant.MRDF, MrdfSolver(g)))
         n = rng.randint(2, 6)
-        g, part = random_cobipartite(n, rng.uniform(0.1, 0.8), rng)
+        g, _ = random_cobipartite(n, rng.uniform(0.1, 0.8), rng)
         variant = rng.choice((Variant.TRDF, Variant.CRDF))
-        out.append((g, variant, solver_for(g, variant, partition=part)))
+        out.append((g, variant, solver_for(g, variant)))
         g, model = random_interval_instance(rng.randint(2, 6), rng)
         out.append((g, Variant.CRDF, IntervalConnectedSolver(g, model)))
     return out

@@ -18,7 +18,6 @@ from romanenum.families import (
     cycle_graph,
     double_link_chain,
     path_graph,
-    path_interval_model,
     random_cobipartite,
     random_graph,
     random_interval_instance,
@@ -33,7 +32,6 @@ from romanenum.fixed_two import (
     solver_for,
 )
 from romanenum.graphs import (
-    CobipartitePartition,
     Graph,
     IntervalModel,
     bit,
@@ -55,6 +53,8 @@ from romanenum.roman import (
     pos_mask,
     two_mask,
 )
+
+from reference import path_interval_model
 
 
 # the most completions one 2-set can have, per solver, on n vertices
@@ -119,7 +119,7 @@ def test_routing_table():
     with pytest.raises(UnsupportedRoute):
         solver_for(k4, Variant.TRDF, class_hint="interval")
     with pytest.raises(UnsupportedRoute):
-        solver_for(p5, Variant.CRDF)  # no partition, no model
+        solver_for(p5, Variant.CRDF)  # not cobipartite, no model
     with pytest.raises(UnsupportedRoute):
         solver_for(p5, Variant.CRDF, class_hint="interval")  # model missing
     with pytest.raises(UnsupportedRoute):
@@ -129,13 +129,10 @@ def test_routing_table():
     with pytest.raises(UnsupportedRoute):
         solver_for(p5, Variant.PRDF)
 
-    part = CobipartitePartition(mask_of([0, 1]), mask_of([2, 3]))
-    assert isinstance(solver_for(k4, Variant.TRDF, partition=part), CobipartiteSolver)
-    bad = CobipartitePartition(mask_of([0, 2]), mask_of([1, 3]))
-    with pytest.raises(ValueError):
-        solver_for(path_graph(4), Variant.TRDF, partition=bad)
     with pytest.raises(UnsupportedRoute):
         CobipartiteSolver(k4, Variant.RDF)
+    with pytest.raises(UnsupportedRoute):
+        CobipartiteSolver(p5, Variant.TRDF)
 
 
 # ------------------------------------------------- solver vs oracle, per route
@@ -164,9 +161,9 @@ def test_cobipartite_solver_matches_oracle():
     rng = random.Random(0x3456)
     for _ in range(60):
         n = rng.randint(2, 7)
-        g, part = random_cobipartite(n, rng.uniform(0.0, 0.9), rng)
+        g, _ = random_cobipartite(n, rng.uniform(0.0, 0.9), rng)
         for variant in (Variant.TRDF, Variant.CRDF):
-            solver = CobipartiteSolver(g, variant, part)
+            solver = CobipartiteSolver(g, variant)
             for _ in range(3):
                 a = rng.getrandbits(n)
                 assert stream_set(solver, a) == oracle_fixed_two(g, variant, a)
@@ -428,8 +425,8 @@ def test_nonempty_completions_are_downward_closed():
         n = rng.randint(2, 7)
         instances.append(RdfSolver(random_graph(n, rng.uniform(0.2, 0.8), rng)))
         instances.append(MrdfSolver(random_graph(n, rng.uniform(0.2, 0.8), rng)))
-        g, part = random_cobipartite(n, rng.uniform(0.1, 0.8), rng)
-        instances.append(CobipartiteSolver(g, rng.choice((Variant.TRDF, Variant.CRDF)), part))
+        g, _ = random_cobipartite(n, rng.uniform(0.1, 0.8), rng)
+        instances.append(CobipartiteSolver(g, rng.choice((Variant.TRDF, Variant.CRDF))))
         g, model = random_interval_instance(rng.randint(2, 6), rng)
         instances.append(IntervalConnectedSolver(g, model))
     for solver in instances:
@@ -454,8 +451,7 @@ def test_empty_two_set_completions():
     assert list(MrdfSolver(p4).stream(0)) == [ones]
     assert list(IntervalConnectedSolver(p4, path_interval_model(4)).stream(0)) == [ones]
     k4 = complete_graph(4)
-    part = CobipartitePartition(mask_of([0, 1]), mask_of([2, 3]))
-    assert list(CobipartiteSolver(k4, Variant.TRDF, part).stream(0)) == [ones]
+    assert list(CobipartiteSolver(k4, Variant.TRDF).stream(0)) == [ones]
 
     # disconnected interval graph: no connected completion exists for the
     # empty 2-set

@@ -17,19 +17,20 @@ from romanenum.gadgets import (
     gadget_maxrd_from_extds,
     gadget_split_from_hypergraph,
     gadget_trdf_from_sat,
-    transversal_of,
 )
-from romanenum.graphs import Graph, bit, bits, has_universal_vertex, is_clique, mask_of
-from romanenum.oracle import (
-    CnfInstance,
-    Hypergraph,
+from romanenum.graphs import Graph, bit, bits, mask_of
+from romanenum.oracle import CnfInstance, Hypergraph, oracle_fixed_two
+from romanenum.roman import Variant
+
+from reference import (
     exists_minimal_dominating_superset,
     exists_minimal_geq,
-    oracle_fixed_two,
+    has_universal_vertex,
+    is_clique,
     oracle_sat,
     oracle_transversals,
+    transversal_of,
 )
-from romanenum.roman import Variant
 
 SAT_SMALL = [
     CnfInstance(1, ((1,),)),
@@ -90,17 +91,17 @@ def test_crdf_sat_gadget_layout():
     assert inst.labels == (
         "v_1", "v_2", "~v_1", "~v_2", "w_1", "w_2", "p_1", "p_2", "u_1", "u'_1",
     )
-    assert inst.fixed_two == mask_of([inst.vertex_named("w_1"), inst.vertex_named("w_2"), inst.vertex_named("u_1")])
+    assert inst.fixed_two == mask_of([inst.labels.index("w_1"), inst.labels.index("w_2"), inst.labels.index("u_1")])
     assert inst.prefunction is None
     assert_sides(inst, SAT_LEFT)
     # selectors see exactly their two literal vertices (plus chain)
-    w1 = inst.vertex_named("w_1")
-    assert g.adj[w1] & mask_of([inst.vertex_named("v_1"), inst.vertex_named("~v_1")]) == mask_of(
-        [inst.vertex_named("v_1"), inst.vertex_named("~v_1")]
+    w1 = inst.labels.index("w_1")
+    assert g.adj[w1] & mask_of([inst.labels.index("v_1"), inst.labels.index("~v_1")]) == mask_of(
+        [inst.labels.index("v_1"), inst.labels.index("~v_1")]
     )
     # clause vertex p_1 sees its literals v_1, v_2
-    p1 = inst.vertex_named("p_1")
-    assert g.adj[p1] == mask_of([inst.vertex_named("v_1"), inst.vertex_named("v_2")])
+    p1 = inst.labels.index("p_1")
+    assert g.adj[p1] == mask_of([inst.labels.index("v_1"), inst.labels.index("v_2")])
 
 
 def test_crdf_sat_gadget_equivalence():
@@ -128,7 +129,7 @@ def test_trdf_sat_gadget_layout_has_no_chain():
     c = CnfInstance(2, ((1, 2), (-1, -2)))
     inst = gadget_trdf_from_sat(c)
     assert inst.labels == ("v_1", "v_2", "~v_1", "~v_2", "w_1", "w_2", "p_1", "p_2")
-    assert inst.fixed_two == mask_of([inst.vertex_named("w_1"), inst.vertex_named("w_2")])
+    assert inst.fixed_two == mask_of([inst.labels.index("w_1"), inst.labels.index("w_2")])
 
 
 def test_strict_mode_certificates():
@@ -178,15 +179,15 @@ def test_extension_gadget_layout_and_prefunction():
     )
     assert inst.fixed_two is None
     f = inst.prefunction
-    assert f[inst.vertex_named("s")] == 2
-    assert f[inst.vertex_named("w_1")] == 2
-    assert f[inst.vertex_named("q")] == 1
-    assert f[inst.vertex_named("t")] == 1
+    assert f[inst.labels.index("s")] == 2
+    assert f[inst.labels.index("w_1")] == 2
+    assert f[inst.labels.index("q")] == 1
+    assert f[inst.labels.index("t")] == 1
     assert sum(f) == 6
     assert_sides(inst, ("w", "q", "s"))
     # w_v is adjacent to x over the closed neighborhood
-    w1 = inst.vertex_named("w_1")
-    assert g.adj[w1] == mask_of([inst.vertex_named("x_0"), inst.vertex_named("x_1"), inst.vertex_named("x_2")])
+    w1 = inst.labels.index("w_1")
+    assert g.adj[w1] == mask_of([inst.labels.index("x_0"), inst.labels.index("x_1"), inst.labels.index("x_2")])
 
 
 def test_extension_gadget_hand_cases():
@@ -259,8 +260,8 @@ def test_split_gadget_layout_and_certificates():
     assert inst.fixed_two == bit(0)
     assert_split_sides(inst)
     # w_0 sees exactly the u's of its edge
-    w0 = inst.vertex_named("w_0")
-    assert g.adj[w0] == mask_of([inst.vertex_named("u_0"), inst.vertex_named("u_1")])
+    w0 = inst.labels.index("w_0")
+    assert g.adj[w0] == mask_of([inst.labels.index("u_0"), inst.labels.index("u_1")])
 
 
 def test_split_gadget_bijection_random():
@@ -271,7 +272,7 @@ def test_split_gadget_bijection_random():
         assert_split_sides(inst)
         assert not has_universal_vertex(inst.graph)
         completions = oracle_fixed_two(inst.graph, Variant.CRDF, inst.fixed_two, cap=inst.graph.n)
-        images = [transversal_of(inst, f) for f in completions]
+        images = [transversal_of(h, f) for f in completions]
         assert len(images) == len(set(images)), "bijection collapsed two completions"
         assert set(images) == oracle_transversals(h)
 
@@ -288,9 +289,3 @@ def test_split_gadget_universal_element_handling():
 def test_split_gadget_rejects_edgeless_hypergraph():
     with pytest.raises(GadgetError):
         gadget_split_from_hypergraph(Hypergraph(3, ()))
-
-
-def test_transversal_of_type_guard():
-    sat_inst = gadget_trdf_from_sat(CnfInstance(1, ((1,),)))
-    with pytest.raises(TypeError):
-        transversal_of(sat_inst, (0,) * sat_inst.graph.n)

@@ -11,25 +11,26 @@ from itertools import product
 import pytest
 
 from romanenum.families import complete_graph, path_graph, random_graph
-from romanenum.graphs import Graph, bit, mask_of
+from romanenum.graphs import Graph, GraphFormatError, bit, mask_of
 from romanenum.oracle import (
     CapExceeded,
     CnfInstance,
     Hypergraph,
-    exists_minimal_dominating_superset,
-    exists_minimal_geq,
-    format_dimacs,
-    format_hypergraph,
     oracle_all_minimal,
     oracle_fixed_two,
+    parse_dimacs,
+    parse_hypergraph,
+)
+from romanenum.roman import Variant, two_mask
+
+from reference import (
+    exists_minimal_dominating_superset,
+    exists_minimal_geq,
     oracle_fixed_two_slice,
     oracle_sat,
     oracle_transversals,
-    parse_dimacs,
-    parse_hypergraph,
     property_holders,
 )
-from romanenum.roman import Variant, two_mask
 
 MINIMAL_VARIANTS = (Variant.RDF, Variant.MRDF, Variant.TRDF, Variant.CRDF)
 ALL_VARIANTS = MINIMAL_VARIANTS + (Variant.PRDF,)
@@ -241,7 +242,7 @@ def test_hypergraph_validation_and_round_trip():
     with pytest.raises(ValueError):
         Hypergraph(2, (0b100,))
     h = Hypergraph(4, (0b0011, 0b1100, 0b0110))
-    assert parse_hypergraph(format_hypergraph(h)) == h
+    assert parse_hypergraph("4 3\n0 1\n2 3\n1 2\n") == h
     assert parse_hypergraph("2 1  # comment\n0 1\n") == Hypergraph(2, (0b11,))
     with pytest.raises(ValueError):
         parse_hypergraph("")
@@ -249,6 +250,13 @@ def test_hypergraph_validation_and_round_trip():
         parse_hypergraph("2 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_hypergraph("2 1\n0 5\n")
+    # a header that is not two integers is refused by line, not by Python
+    with pytest.raises(GraphFormatError, match="line 2: header"):
+        parse_hypergraph("# three numbers\n3 2 1\n0 1\n1 2\n")
+    with pytest.raises(GraphFormatError, match="line 1: header"):
+        parse_hypergraph("x y\n0 1\n")
+    with pytest.raises(GraphFormatError, match="line 2: edge"):
+        parse_hypergraph("2 1\n0 x\n")
 
 
 # --------------------------------------------------------------------- SAT
@@ -286,7 +294,7 @@ def test_monotone_validation():
 
 def test_dimacs_validation_and_round_trip():
     c = CnfInstance(3, ((1, -2), (2, 3), (-3,)))
-    assert parse_dimacs(format_dimacs(c)) == c
+    assert parse_dimacs("p cnf 3 3\n1 -2 0\n2 3 0\n-3 0\n") == c
     text = "c header\np cnf 2 2\n1 2 0\n-1\n-2 0\n"
     assert parse_dimacs(text) == CnfInstance(2, ((1, 2), (-1, -2)))
     with pytest.raises(ValueError):
@@ -297,6 +305,10 @@ def test_dimacs_validation_and_round_trip():
         parse_dimacs("p dnf 2 1\n1 2 0\n")
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 1 1\n2 0\n")  # literal out of range
+    with pytest.raises(ValueError, match="expected 5 clauses, found 2"):
+        parse_dimacs("p cnf 3 5\n1 2 0\n-1 -3 0\n")
+    with pytest.raises(ValueError, match="second problem line"):
+        parse_dimacs("p cnf 2 2\np cnf 3 2\n1 2 0\n-1 -2 0\n")
     with pytest.raises(ValueError):
         CnfInstance(1, ((),))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from romanenum.engine import iter_minimal
 from romanenum.families import random_interval_instance
 from romanenum.fixed_two import CobipartiteSolver, IntervalConnectedSolver, MrdfSolver, RdfSolver
-from romanenum.graphs import CobipartitePartition, Graph, mask_of
+from romanenum.graphs import Graph
 from romanenum.oracle import oracle_all_minimal
 from romanenum.roman import Variant
 
@@ -37,8 +37,7 @@ def cobipartite_graphs(draw, max_n=8):
     k = draw(st.integers(1, n - 1))
     cliques = [(u, v) for u, v in combinations(range(n), 2) if v < k or u >= k]
     cross = [(u, v) for u in range(k) for v in range(k, n)]
-    g = Graph(n, cliques + some_of(draw, cross))
-    return g, CobipartitePartition(mask_of(range(k)), mask_of(range(k, n)))
+    return Graph(n, cliques + some_of(draw, cross))
 
 
 def engine_matches_oracle(g, variant, solver):
@@ -56,9 +55,8 @@ def test_general_routes_match_the_oracle(g, variant):
 
 @PROPERTY
 @given(cobipartite_graphs(), st.sampled_from((Variant.TRDF, Variant.CRDF)))
-def test_cobipartite_routes_match_the_oracle(instance, variant):
-    g, part = instance
-    engine_matches_oracle(g, variant, CobipartiteSolver(g, variant, part))
+def test_cobipartite_routes_match_the_oracle(g, variant):
+    engine_matches_oracle(g, variant, CobipartiteSolver(g, variant))
 
 
 @PROPERTY
