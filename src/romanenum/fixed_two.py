@@ -25,11 +25,15 @@ that the growing component touches, since x brings exactly the components of
 G[B] next to it.  So N(component) is an OR of per-vertex masks, built with
 one breadth-first search per component of G[B], and every vertex the window
 could add next is read off a difference of three such ORs (see
-WindowTables).
+WindowTables).  The solver keeps the graph labelled in interval order, so
+the window DAG's nodes are positions and its successors come sorted, and it
+walks each source-to-sink path once, never entering a node again once the
+node's subtree gave no sink.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain, combinations
 from typing import Iterator, Optional
 
@@ -43,7 +47,6 @@ from .graphs import (
     mask_of,
     recognize_cobipartite,
     same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
-    validate_interval_model,
 )
 from .roman import (
     RomanFunction,
@@ -310,21 +313,23 @@ class IntervalConnectedSolver(FixedTwoSolver):
 
     The model must realize the graph: a model of the wrong size is a
     ValueError, any other mismatch an UnsupportedRoute, because the gap bound
-    and the window DAG read connectivity off the intervals.  The vertices
-    are sorted into interval order once.  Per 2-set A, the solver first
-    counts the fewest 0-vertex intervals that close every gap in the union
-    of the canonical positive set's intervals (fewest_connectors); raised
-    sets below that size cannot be connected and are never tested.
+    and the window DAG read connectivity off the intervals.  The solver works
+    on a copy of the graph labelled in interval order (left endpoint, right
+    endpoint, index): position p is input vertex order[p].  Per 2-set A, it
+    first counts the fewest 0-vertex intervals that close every gap in the
+    union of the canonical positive set's intervals (fewest_connectors);
+    raised sets below that size cannot be connected and are never tested.
     Completion sets of size at most 3 are then scanned directly against the
     2-set's TwoSetContext.  Larger ones are source-to-sink paths in a DAG
-    whose nodes are window-passing triples; restricting the walk to nodes
-    that can reach a sink keeps the delay polynomial.  A node's successors
-    are read off one WindowTables mask, and the start nodes off one mask per
-    pair of 0-vertices, taken in lexicographic order; the masks are ORs of
-    per-vertex masks that cost one breadth-first search per component of
-    the positive set, so no search runs per DAG node.  Both DAG walks use
-    explicit stacks, so their depth, which grows with the number of raised
-    vertices, is not bounded by Python's recursion limit.
+    whose nodes are window-passing triples, walked once depth-first: a path
+    is output when it reaches a sink, and a node whose subtree gave no sink
+    is marked dead and never entered again, so each dead subtree is explored
+    once and the delay stays polynomial.  Successors and start nodes are read
+    off WindowTables masks, ORs of per-vertex masks that cost one
+    breadth-first search per component of the positive set, so no search
+    runs per DAG node.  Output masks are built in input labels as the walk
+    pushes each raised vertex, on an explicit stack, so the walk's depth is
+    not bounded by Python's recursion limit.
     """
 
     variant = Variant.CRDF
@@ -333,120 +338,107 @@ class IntervalConnectedSolver(FixedTwoSolver):
         super().__init__(g)
         if len(model) != g.n:
             raise ValueError("interval model size does not match the graph")
-        if not validate_interval_model(g, model):
-            raise UnsupportedRoute("interval model does not realize the graph")
-        self.model = model
         # a stable sort by interval keeps equal intervals in index order
-        self.order = sorted(range(g.n), key=model.intervals.__getitem__)
+        self.order = order = sorted(range(g.n), key=model.intervals.__getitem__)
+        self._position = {v: p for p, v in enumerate(order)}
+        self._model = IntervalModel(tuple(model.intervals[v] for v in order))
+        iv = self._model.intervals
+        lefts = [lo for lo, _ in iv]
+        by_right = sorted(range(g.n), key=lambda p: iv[p][1])
+        # one sweep in interval order: an interval meets the earlier ones
+        # still open at its left endpoint and the later ones that start
+        # inside it, which hold consecutive positions; each edge of g is
+        # checked at its later end
+        rows = []
+        still_open = open_vertices = earlier = closed = 0
+        for p, (lo, hi) in enumerate(iv):
+            while iv[by_right[closed]][1] < lo:
+                still_open ^= 1 << by_right[closed]
+                open_vertices ^= 1 << order[by_right[closed]]
+                closed += 1
+            if g.adj[order[p]] & earlier != open_vertices:
+                raise UnsupportedRoute("interval model does not realize the graph")
+            rows.append(still_open | (1 << bisect_right(lefts, hi)) - (2 << p))
+            still_open |= 1 << p
+            open_vertices |= 1 << order[p]
+            earlier |= 1 << order[p]
+        self._graph = Graph.from_rows(rows)
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
-        g = self.graph
-        ctx = TwoSetContext(g, a, self.variant)
+        h, order = self._graph, self.order
+        ctx = TwoSetContext(h, mask_of(self._position[v] for v in bits(a)), self.variant)
         if not ctx.valid():
             return
         pos0 = ctx.pos0
-        members = [v for v in self.order if pos0 >> v & 1]
-        universe = [v for v in self.order if not pos0 >> v & 1]
-        fewest = fewest_connectors(self.model, members, universe)
+        spare = h.full & ~pos0
+        members, universe = list(bits(pos0)), list(bits(spare))
+        fewest = fewest_connectors(self._model, members, universe)
         if fewest is None:
             return
+        base = mask_of(order[p] for p in members)
         for k in range(fewest, min(3, len(universe)) + 1):
             for combo in combinations(universe, k):
-                pos = pos0 | mask_of(combo)
-                if ctx.minimal(pos):
-                    yield function_from_masks(g.n, a, pos)
+                if ctx.minimal(pos0 | mask_of(combo)):
+                    yield function_from_masks(h.n, a, base | mask_of(order[p] for p in combo))
         if len(universe) >= 4:
             # intervals that end last all meet, so any of them roots the
             # same component
-            iv = self.model.intervals
-            t = max(members, key=lambda v: iv[v][1])
-            yield from self._large_stream(ctx, universe, WindowTables(g, ctx, members[0], t))
+            iv = self._model.intervals
+            t = max(members, key=lambda p: iv[p][1])
+            yield from self._large_stream(a, base, spare, WindowTables(h, ctx, members[0], t))
 
-    def _large_stream(self, ctx, universe, tables) -> Iterator[RomanFunction]:
-        g = self.graph
-        m = len(universe)
-        rank = {v: r for r, v in enumerate(universe)}
-        # later[k]: the members of universe after position k
-        later = [0] * m
-        for k in range(m - 2, -1, -1):
-            later[k] = later[k + 1] | bit(universe[k + 1])
-        succ_memo: dict = {}
-        sink_memo: dict = {}
-        reach_memo: dict = {}
+    def _large_stream(self, a, base, spare, tables) -> Iterator[RomanFunction]:
+        n, order = self._graph.n, self.order
+        tested: dict = {}
+        dead = set()
 
-        def in_order(mask):
-            return sorted(rank[v] for v in bits(mask))
+        def later(mask, y):
+            # the 0-vertices of mask after position y, in interval order
+            return bits((mask & spare) >> (y + 1) << (y + 1))
 
-        def successors(node):
-            got = succ_memo.get(node)
-            if got is None:
-                i, j, k = node
-                w, x, y = universe[i], universe[j], universe[k]
-                got = [
-                    (j, k, l)
-                    for l in in_order(tables.middle_mask(w, x, y) & later[k])
-                    if tables._keeps_private(w, x, y, universe[l])
-                ]
-                succ_memo[node] = got
+        def expand(node):
+            # (is node a sink, its successors), worked out once per node
+            w, x, y = node
+            after = [
+                (x, y, z)
+                for z in later(tables.middle_mask(w, x, y), y)
+                if tables._keeps_private(w, x, y, z)
+            ]
+            got = tested[node] = (tables.end_ok(w, x, y), after)
             return got
-
-        def is_sink(node):
-            got = sink_memo.get(node)
-            if got is None:
-                i, j, k = node
-                got = tables.end_ok(universe[i], universe[j], universe[k])
-                sink_memo[node] = got
-            return got
-
-        def reaches_sink(root):
-            # depth-first with explicit stacks: the first sink found answers
-            # True for every open node, a node whose successors all fail
-            # answers False
-            open_nodes = []
-            todo = [iter((root,))]
-            while todo:
-                for node in todo[-1]:
-                    got = reach_memo.get(node)
-                    if got is None and not is_sink(node):
-                        open_nodes.append(node)
-                        todo.append(iter(successors(node)))
-                        break
-                    if got is not False:
-                        for done in open_nodes + [node]:
-                            reach_memo[done] = True
-                        return True
-                else:
-                    todo.pop()
-                    if open_nodes:
-                        reach_memo[open_nodes.pop()] = False
-            return False
 
         def walk(start):
-            # every source-to-sink path from start, in successor order; a
-            # path is output when it ends in a sink, then extended further
-            raised = [ctx.pos0 | mask_of(universe[i] for i in start)]
-            todo = [iter(successors(start))]
-            while todo:
-                for nxt in todo[-1]:
-                    if reaches_sink(nxt):
-                        pos = raised[-1] | bit(universe[nxt[2]])
-                        if is_sink(nxt):
-                            yield function_from_masks(g.n, ctx.a, pos)
-                        raised.append(pos)
-                        todo.append(iter(successors(nxt)))
-                        break
+            # every path from start to a sink, in successor order, output
+            # when it reaches the sink and then extended further.  A frame
+            # holds the successors still to try, the node, the raised set of
+            # the path to it, and whether a sink lay at or below it
+            raised = base | mask_of(order[p] for p in start)
+            stack = [[iter((tested.get(start) or expand(start))[1]), start, raised, False]]
+            while stack:
+                top = stack[-1]
+                for node in top[0]:
+                    if node in dead:
+                        continue
+                    sink, after = tested.get(node) or expand(node)
+                    raised = top[2] | 1 << order[node[2]]
+                    if sink:
+                        yield function_from_masks(n, a, raised)
+                    stack.append([iter(after), node, raised, sink])
+                    break
                 else:
-                    raised.pop()
-                    todo.pop()
+                    _, node, _, live = stack.pop()
+                    if stack:  # node is not the start
+                        if live:
+                            stack[-1][3] = True
+                        else:
+                            dead.add(node)
 
         # start nodes in lexicographic order: each pair's mask gives every
         # third member at once
-        for i, j in combinations(range(m), 2):
-            x, y = universe[i], universe[j]
-            for k in in_order(tables.start_mask(x, y) & later[j]):
-                node = (i, j, k)
-                if tables._keeps_private(x, y, universe[k]) and reaches_sink(node):
-                    yield from walk(node)
+        for x, y in combinations(bits(spare), 2):
+            for z in later(tables.start_mask(x, y), y):
+                if (x, y, z) not in dead and tables._keeps_private(x, y, z):
+                    yield from walk((x, y, z))
 
 
 def solver_for(

@@ -83,6 +83,16 @@ class Graph:
         self.cadj = tuple(r | (1 << v) for v, r in enumerate(rows))
         self.full = (1 << n) - 1
 
+    @classmethod
+    def from_rows(cls, rows: list[int]) -> "Graph":
+        """The graph with open neighborhoods `rows`, unchecked: symmetric, no loops."""
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g.adj = tuple(rows)
+        g.cadj = tuple(r | (1 << v) for v, r in enumerate(rows))
+        g.full = (1 << g.n) - 1
+        return g
+
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -240,11 +250,6 @@ def recognize_cobipartite(g: Graph) -> Optional[CobipartitePartition]:
     """
     parts = _two_color([g.full & ~row for row in g.cadj])
     return None if parts is None else CobipartitePartition(*parts)
-
-
-def validate_interval_model(g: Graph, m: IntervalModel) -> bool:
-    """True iff the intervals realize exactly the edges of g."""
-    return intersection_graph(m) == g
 
 
 def intersection_graph(m: IntervalModel) -> Graph:

@@ -271,7 +271,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     header = None
     clauses = []
     current: list[int] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -286,8 +286,11 @@ def parse_dimacs(text: str) -> CnfInstance:
             except ValueError:
                 raise ValueError(f"bad problem line: {line}") from None
             continue
-        for tok in line.split():
-            lit = int(tok)
+        try:
+            literals = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ValueError(f"line {lineno}: clause literals must be integers") from None
+        for lit in literals:
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []

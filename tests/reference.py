@@ -23,6 +23,7 @@ from romanenum.graphs import (
     bit,
     bits,
     closed_neighborhood,
+    intersection_graph,
     is_connected,
 )
 from romanenum.oracle import (
@@ -169,6 +170,11 @@ def validate_cobipartite(g: Graph, part: CobipartitePartition) -> bool:
     if part.c1 & part.c2 or (part.c1 | part.c2) != g.full:
         return False
     return is_clique(g, part.c1) and is_clique(g, part.c2)
+
+
+def validate_interval_model(g: Graph, m: IntervalModel) -> bool:
+    """True iff the intervals realize exactly the edges of g."""
+    return intersection_graph(m) == g
 
 
 # ---------------------------------------------------------------- families

@@ -4,6 +4,7 @@ main() is invoked in-process with argv lists; stdout/stderr go through
 pytest's capsys fixture.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -156,6 +157,47 @@ def test_enumerate_interval_class_on_the_gn_family(capsys, tmp_path):
     want = oracle_all_minimal(g, Variant.CRDF)
     assert len(out) == len(want) == 7
     assert set(out) == {format_function(f) for f in want}
+
+
+# sha256 of the whole standard output, recorded before the window walk was
+# rewritten: (command, anchors, format) -> digest
+GN_DIGESTS = {
+    ("fixed-two", 3, "text"): "f01412d529f46f903a72b7290246923e05a5ff0613f131796795ff86c4ca6723",
+    ("fixed-two", 3, "json"): "007397283616fe712cb00a4099afd07545ebfc78586a99cec6c5bf2f2c2d5ca9",
+    ("enumerate", 3, "text"): "131617a34176b4e487d560f42d9c9a23c5e21776b875980beb2e4b0a3ad61e4c",
+    ("enumerate", 3, "json"): "94f32590bd460ebdc189bc2d939716b68c28cea93418f198794ca2b0beefb396",
+    ("fixed-two", 5, "text"): "82bb6500e47800ca8cafc0287c8ffb9d83714be6bf4d2cc6ffc72a25073f44b6",
+    ("fixed-two", 5, "json"): "93d055f794366131c5de34baaf0ef2a1b7fd56cd9fb314c9fa4ec83fe4c12b65",
+    ("enumerate", 5, "text"): "1b2dedd65bb6f55830c583dc2dee7371585d3f6edae54effb8ce7bf5def5ea24",
+    ("enumerate", 5, "json"): "85bab498562b2ef4cd482fcb07956ab392041314f0b181a95ac30e437dc5cb4b",
+    ("fixed-two", 6, "text"): "fa5559f243016a7487290e8899d413a1b35d754aa85ca7def7610dd03ef915aa",
+    ("fixed-two", 6, "json"): "c3291d3b748b1e2dac0a8ac4f828dc93c072373fd9950b2500bb2d856e37b9fa",
+    ("fixed-two", 12, "text"): "3b9cffe0a942417baac46fab3c15dbb43d023b7bc3b1b1b1e3b73455893712cf",
+    ("fixed-two", 12, "json"): "6f310d55089e2a1a0e230db3cf4b04c920b0e02710a7ab950ad59126a458e13c",
+}
+
+
+def test_interval_route_output_is_byte_identical_on_gn_chains(capsys, tmp_path):
+    got = {}
+    for anchors in (3, 5, 6, 12):
+        prefix = str(tmp_path / f"gn{anchors}")
+        assert main(["gen", "--family", "gn", "--n", str(anchors), "--out", prefix]) == 0
+        code, out, _ = run(capsys, ["gen", "--family", "gn", "--n", str(anchors)])
+        assert code == 0
+        (two_set,) = [line[len("# two_set="):] for line in out if line.startswith("# two_set=")]
+        commands = [("fixed-two", ["fixed-two", "--two-set", two_set])]
+        if anchors <= 5:  # the whole enumeration grows about 4.5x per anchor
+            commands.append(("enumerate", ["enumerate"]))
+        for name, argv in commands:
+            for fmt in ("text", "json"):
+                code = main(argv + [
+                    "--graph", prefix + ".graph", "--variant", "crdf", "--class", "interval",
+                    "--intervals", prefix + ".intervals", "--format", fmt,
+                ])
+                assert code == 0
+                text = capsys.readouterr().out
+                got[name, anchors, fmt] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GN_DIGESTS
 
 
 FOOTPRINT_SCRIPT = """
@@ -423,6 +465,15 @@ def test_gadget_rejects_a_cnf_whose_clauses_disagree_with_its_header(capsys, tmp
         assert code == 1, name
         assert out == [], name
         assert err.startswith("error: "), name
+
+
+def test_gadget_names_the_line_of_a_literal_that_is_not_an_integer(capsys, tmp_path):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 2 1\n1 x 0\n")
+    code, out, err = run(capsys, ["gadget", "--kind", "trdf-sat", "--cnf", str(cnf)])
+    assert code == 1
+    assert out == []
+    assert err == "error: line 2: clause literals must be integers\n"
 
 
 # -------------------------------------------------------------------- gen

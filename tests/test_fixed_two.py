@@ -4,6 +4,7 @@ conftest wraps every solver's stream, so every function a solver emits is
 also re-checked against the minimality predicate as it leaves the stream.
 """
 
+import hashlib
 import random
 import sys
 import time
@@ -42,7 +43,6 @@ from romanenum.graphs import (
     is_connected_set,
     mask_of,
     same_component,
-    validate_interval_model,
 )
 from romanenum.oracle import oracle_all_minimal, oracle_fixed_two
 from romanenum.roman import (
@@ -50,11 +50,12 @@ from romanenum.roman import (
     UnsupportedRoute,
     Variant,
     canonical_rdf,
+    format_function,
     pos_mask,
     two_mask,
 )
 
-from reference import path_interval_model
+from reference import path_interval_model, validate_interval_model
 
 
 # the most completions one 2-set can have, per solver, on n vertices
@@ -408,6 +409,30 @@ def test_chord_the_model_does_not_show_still_connects():
         IntervalConnectedSolver(g, path_interval_model(5))
 
 
+def test_interval_order_graph_is_the_input_relabelled():
+    # the constructor's sweep, against the pairwise definition, on models
+    # with equal and touching intervals: it accepts the intersection graph,
+    # refuses it with any one pair toggled, and its position-labelled copy
+    # maps back onto the input through order
+    rng = random.Random(0x1D7)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        iv = [(lo, lo + rng.randint(0, 3)) for lo in (rng.randint(0, n) for _ in range(n))]
+        if n >= 2:
+            iv[rng.randrange(n)] = iv[rng.randrange(n)]
+        model = IntervalModel(tuple(iv))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = {(u, v) for u, v in pairs if max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1])}
+        solver = IntervalConnectedSolver(Graph(n, edges), model)
+        order = solver.order
+        for p, row in enumerate(solver._graph.adj):
+            assert mask_of(order[q] for q in bits(row)) == solver.graph.adj[order[p]]
+        if pairs:
+            toggled = edges ^ {rng.choice(pairs)}
+            with pytest.raises(UnsupportedRoute):
+                IntervalConnectedSolver(Graph(n, toggled), model)
+
+
 def test_window_tables_size_mismatch():
     # an input error (exit 1 in the CLI), not an unsupported route (exit 2)
     with pytest.raises(ValueError) as err:
@@ -543,6 +568,122 @@ def test_first_output_searches_once_per_anchor(monkeypatch, anchors):
     first = IntervalConnectedSolver(g, model).first(seed)
     assert first is not None and two_mask(first) == seed
     assert 0 < searches <= anchors, searches
+
+
+class CountedTables(WindowTables):
+    """WindowTables that records the arguments of every window test."""
+
+    tests = None  # test name -> list of argument tuples, set per test
+
+    def start_mask(self, *args):
+        self.tests["start"].append(args)
+        return super().start_mask(*args)
+
+    def middle_mask(self, *args):
+        self.tests["middle"].append(args)
+        return super().middle_mask(*args)
+
+    def end_ok(self, *args):
+        self.tests["end"].append(args)
+        return super().end_ok(*args)
+
+
+@pytest.fixture
+def window_tests(monkeypatch):
+    tests = defaultdict(list)
+    monkeypatch.setattr(CountedTables, "tests", tests)
+    monkeypatch.setattr(fixed_two, "WindowTables", CountedTables)
+    return tests
+
+
+@pytest.mark.parametrize("anchors", (20, 40, 80, 160))
+def test_first_output_takes_two_window_tests_per_anchor(window_tests, anchors):
+    g, model, seed = double_link_chain(anchors)
+    first = next(IntervalConnectedSolver(g, model).stream(seed))
+    assert two_mask(first) == seed
+    count = sum(len(calls) for calls in window_tests.values())
+    assert 0 < count <= 2 * anchors, dict(window_tests)
+
+
+def test_full_stream_tests_each_dag_node_once(window_tests):
+    g, model, seed = double_link_chain(8)
+    assert len(list(IntervalConnectedSolver(g, model).stream(seed))) == 128
+    # the DAG has 40 nodes, and each is tested once however many paths
+    # enter it
+    for name in ("middle", "end"):
+        calls = window_tests[name]
+        assert len(calls) == len(set(calls)) == 40, name
+
+
+def chain_like_layout(rng):
+    """3-7 anchors along a line, 1-3 jittered connectors per gap and up to 3
+    random extra intervals, at most 22 in all, under a random labelling.
+
+    Returns the intersection graph, the model and the anchors' labels.
+    """
+    anchors = rng.randint(3, 7)
+    layout = [(10 * i + rng.randint(0, 2), 10 * i + rng.randint(5, 7)) for i in range(anchors)]
+    for i in range(anchors - 1):
+        # leave room for one connector in each later gap
+        for _ in range(min(rng.randint(1, 3), 22 - len(layout) - (anchors - 2 - i))):
+            layout.append((10 * i + rng.randint(4, 6), 10 * i + rng.randint(10, 12)))
+    for _ in range(min(rng.randint(0, 3), 22 - len(layout))):
+        lo = rng.randint(0, 10 * anchors)
+        layout.append((lo, lo + rng.randint(0, 8)))
+    perm = list(range(len(layout)))
+    rng.shuffle(perm)
+    intervals = [None] * len(layout)
+    for old, new in enumerate(perm):
+        intervals[new] = layout[old]
+    model = IntervalModel(tuple(intervals))
+    return intersection_graph(model), model, perm[:anchors]
+
+
+# recorded before the window walk was rewritten, so a change of output order
+# fails here
+ORDER_PINNED = "3c11a745edde98147979f4b59a80ee5dd72dd07860a93b8d522df8b6557b5c64"
+
+
+def test_interval_output_order_is_pinned():
+    # one digest over the ordered outputs of 40 random 2-sets (about half
+    # the anchors, sometimes one more vertex) on each of 200 layouts; 1,647
+    # of the 4,224 outputs raise four or more vertices, so come from the
+    # window DAG
+    digest = hashlib.sha256()
+    outputs = window_route = 0
+    for seed in range(200):
+        rng = random.Random(f"order-pin/{seed}")
+        g, model, anchors = chain_like_layout(rng)
+        solver = IntervalConnectedSolver(g, model)
+        for _ in range(40):
+            a = mask_of(v for v in anchors if rng.random() < 0.5)
+            if rng.random() < 0.25:
+                a |= bit(rng.randrange(g.n))
+            digest.update(f"{seed} {a}\n".encode())
+            pos0 = TwoSetContext(g, a, Variant.CRDF).pos0
+            for f in solver.stream(a):
+                digest.update(format_function(f).encode() + b"\n")
+                outputs += 1
+                window_route += (pos_mask(f) & ~pos0).bit_count() >= 4
+    assert (outputs, window_route) == (4224, 1647)
+    assert digest.hexdigest() == ORDER_PINNED
+
+
+def test_dead_subtrees_are_walked_once():
+    # without one twin in the last gap, the last anchor's only private
+    # candidate must be raised to connect it, so every one of the 2^(k-2)
+    # window paths dies at the end; a walk that entered a dead node again
+    # would try them all (about 8 s at 24 anchors)
+    for anchors in (4, 24):
+        _, model, seed = double_link_chain(anchors)
+        model = IntervalModel(model.intervals[:-1])
+        g = intersection_graph(model)
+        if anchors == 4:
+            assert oracle_fixed_two(g, Variant.CRDF, seed) == set()
+        t0 = time.perf_counter()
+        assert list(IntervalConnectedSolver(g, model).stream(seed)) == []
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"an empty stream took {elapsed:.2f}s"
 
 
 def test_long_chain_streams_under_a_low_recursion_limit():

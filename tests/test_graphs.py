@@ -27,11 +27,15 @@ from romanenum.graphs import (
     parse_vertex_set,
     recognize_cobipartite,
     same_component,
-    validate_interval_model,
 )
 from romanenum.families import complete_graph, cycle_graph, path_graph
 
-from reference import has_universal_vertex, is_clique, validate_cobipartite
+from reference import (
+    has_universal_vertex,
+    is_clique,
+    validate_cobipartite,
+    validate_interval_model,
+)
 
 
 def test_mask_helpers_round_trip():

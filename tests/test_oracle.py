@@ -307,6 +307,8 @@ def test_dimacs_validation_and_round_trip():
         parse_dimacs("p cnf 1 1\n2 0\n")  # literal out of range
     with pytest.raises(ValueError, match="expected 5 clauses, found 2"):
         parse_dimacs("p cnf 3 5\n1 2 0\n-1 -3 0\n")
+    with pytest.raises(ValueError, match="^line 3: clause literals must be integers$"):
+        parse_dimacs("c x\np cnf 2 1\n1 2.0 0\n")
     with pytest.raises(ValueError, match="second problem line"):
         parse_dimacs("p cnf 2 2\np cnf 3 2\n1 2 0\n-1 -2 0\n")
     with pytest.raises(ValueError):
