@@ -1,12 +1,20 @@
 """Enumeration engine.
 
-Walks candidate 2-sets A in depth-first lexicographic subset order (the
+Walks the valid 2-sets A in depth-first lexicographic subset order (the
 children of A extend it by a vertex larger than all of its members), asks
 the fixed-2-set solver for each A's completions, and prunes a subtree as
 soon as its root has none — sound because emptiness of the completion set
-is monotone downward.  The delay between consecutive outputs stays
-polynomial: at most n^2 consecutive candidate sets can come up empty, and
-the per-set work of every shipped solver is polynomial.
+is monotone downward.
+
+A 2-set is valid when every member keeps a private neighbor besides itself.
+Every solver's completion set is empty on an invalid set, so the engine
+never asks about one: each stack frame carries the vertices its members
+dominate once and twice, and roman.valid_children turns them into the mask
+of the node's valid children, in O(sum |p_u| + n) mask operations.  On rdf
+every valid 2-set has a completion, so the walk meets no empty set at all.
+The delay between consecutive outputs stays polynomial: at most n^2
+consecutive candidate sets can come up empty, and the per-set work of every
+shipped solver is polynomial.
 """
 
 from __future__ import annotations
@@ -16,14 +24,15 @@ from typing import Iterator, List, Optional, Tuple
 
 from .fixed_two import FixedTwoSolver
 from .graphs import Graph
-from .roman import RomanFunction, Variant
+from .roman import RomanFunction, Variant, valid_children
 
 
 class EnumerationStats:
     """Counters collected during one enumeration run.
 
-    sets_explored counts every candidate 2-set whose completion set was
-    computed; max_consecutive_empty is the longest run of empty completion
+    sets_explored counts every 2-set whose completion set was computed, all
+    of them valid: the child mask rejects invalid 2-sets without counting
+    them; max_consecutive_empty is the longest run of empty completion
     sets between nonempty ones; max_inter_output_work is the largest number
     of candidate sets examined between two consecutive outputs (or before
     the first / after the last); seconds is the engine's own time, without
@@ -65,7 +74,6 @@ def iter_minimal(
             f"solver enumerates {solver.variant.value}, asked for {variant.value}"
         )
     st = stats if stats is not None else EnumerationStats()
-    n = g.n
     clock = time.perf_counter
     busy = 0.0  # engine time up to the last suspension
     resumed = clock()
@@ -97,24 +105,31 @@ def iter_minimal(
             finally:  # also when the consumer closes the stream here
                 resumed = clock()
 
+    cadj = g.cadj
     try:
         root_first = solver.first(0)
         note(root_first is None)
         if root_first is not None:
             yield from drain(0)
-            stack: List[Tuple[int, int]] = [(0, 0)]
+            # a frame holds a 2-set, the vertices its members dominate once
+            # and twice, and its valid children not yet visited
+            stack: List[List[int]] = [[0, 0, 0, valid_children(g, 0, 0, 0)]]
             while stack:
-                a, nxt = stack[-1]
-                if nxt >= n:
+                frame = stack[-1]
+                a, once, twice, children = frame
+                if not children:
                     stack.pop()
                     continue
-                stack[-1] = (a, nxt + 1)
-                b = a | (1 << nxt)
+                low = children & -children
+                frame[3] = children ^ low
+                b = a | low
                 fb = solver.first(b)
                 note(fb is None)
                 if fb is not None:
                     yield from drain(b)
-                    stack.append((b, nxt + 1))
+                    nb = cadj[low.bit_length() - 1]
+                    b_once, b_twice = once | nb, twice | (once & nb)
+                    stack.append([b, b_once, b_twice, valid_children(g, b, b_once, b_twice)])
         if work_since_output > st.max_inter_output_work:
             st.max_inter_output_work = work_since_output
     finally:

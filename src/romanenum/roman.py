@@ -1,4 +1,4 @@
-"""Roman domination functions: predicates, minimality tests, extension checks.
+"""Roman domination functions: predicates and minimality tests.
 
 A function is a tuple of values in {0,1,2}, one per vertex.  Variants:
 
@@ -72,16 +72,6 @@ def two_mask(f: RomanFunction) -> int:
         if val == 2:
             m |= 1 << v
     return m
-
-
-def add_one(f: RomanFunction, mask: int) -> RomanFunction:
-    """Raise every vertex of the mask by one."""
-    out = list(f)
-    for v in bits(mask):
-        if out[v] >= 2:
-            raise ValueError(f"vertex {v} already at value 2")
-        out[v] += 1
-    return tuple(out)
 
 
 def sub_one(f: RomanFunction, mask: int) -> RomanFunction:
@@ -239,6 +229,41 @@ class TwoSetContext:
         raise ValueError(f"no minimality context for {self.variant}")
 
 
+def valid_children(g: Graph, a: int, once: int, twice: int) -> int:
+    """Mask of the v > max(a) for which a + v is a valid 2-set.
+
+    once and twice hold the vertices that at least one and at least two
+    members of a dominate.  In a + v, v's private candidates are
+    N[v] - N[a] - {v}, and a member u keeps those of its candidates
+    p_u = N[u] & (once - twice) - {u} that lie outside N[v].  Closed
+    neighborhoods are symmetric, so the v with p_u <= N[v] are the
+    intersection of N[w] over w in p_u.  An invalid a has no valid child.
+    """
+    cadj = g.cadj
+    shift = a.bit_length()
+    above = g.full >> shift << shift
+    alone = once & ~twice
+    members = a
+    while members and above:
+        u = members & -members
+        members ^= u
+        p = cadj[u.bit_length() - 1] & alone & ~u
+        breakers = above
+        while p and breakers:
+            w = p & -p
+            p ^= w
+            breakers &= cadj[w.bit_length() - 1]
+        above &= ~breakers
+    # v's own private candidate is a neighbor outside N[a]
+    children = 0
+    while above:
+        v = above & -above
+        above ^= v
+        if cadj[v.bit_length() - 1] & ~once & ~v:
+            children |= v
+    return children
+
+
 def is_minimal_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
     """Minimality among all functions with the given property.
 
@@ -255,68 +280,6 @@ def is_minimal_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
     if variant is Variant.RDF:
         return valid_two_set(g, a) and f == canonical_rdf(g, a)
     return TwoSetContext(g, a, variant).minimal(pos_mask(f))
-
-
-# --------------------------------------------- branching-framework conditions
-
-
-def zero_raise_keeps_property(g: Graph, f: RomanFunction, v: int, variant: Variant) -> bool:
-    """Raising a 0-vertex to 1 must preserve the property.
-
-    Preconditions: f has the property and f(v) = 0.
-    """
-    if f[v] != 0:
-        raise ValueError(f"vertex {v} does not have value 0")
-    if not is_variant(g, f, variant):
-        raise ValueError("function does not have the property")
-    return is_variant(g, add_one(f, bit(v)), variant)
-
-
-def two_drop_iff_no_private(g: Graph, f: RomanFunction, v: int, variant: Variant) -> bool:
-    """Lowering a 2-vertex to 1 preserves the property exactly when the vertex
-    has no private neighbor besides itself among the non-1 vertices.
-
-    Preconditions: f has the property and f(v) = 2.  Returns True iff the
-    biconditional holds at v.
-    """
-    if f[v] != 2:
-        raise ValueError(f"vertex {v} does not have value 2")
-    if not is_variant(g, f, variant):
-        raise ValueError("function does not have the property")
-    keeps = is_variant(g, sub_one(f, bit(v)), variant)
-    no_external = not TwoSetContext(g, two_mask(f), variant).private[v] & ~pos_mask(f)
-    return keeps == no_external
-
-
-# ------------------------------------------------------------- extension
-
-
-def extension_check(
-    g: Graph,
-    f: RomanFunction,
-    variant: Variant,
-    model=None,
-) -> bool:
-    """Is there a minimal function of the variant that dominates f pointwise?
-
-    Requires that no 1-vertex of f touch a 2-vertex; the answer then
-    coincides with non-emptiness of the fixed-two-set completion at the
-    2-set of f, computed by the matching solver.  The brute-force reference,
-    a full scan for a minimal holder above f, is in tests/reference.py.
-    """
-    if len(f) != g.n:
-        raise ValueError("function length does not match graph order")
-    pos = pos_mask(f)
-    m2 = two_mask(f)
-    m1 = pos & ~m2
-    if open_neighborhood(g, m1) & m2:
-        raise UnsupportedRoute(
-            "extension check requires that no 1-vertex touch a 2-vertex"
-        )
-    from . import fixed_two
-
-    solver = fixed_two.solver_for(g, variant, model=model)
-    return solver.first(m2) is not None
 
 
 # ------------------------------------------------------------- diagnostics

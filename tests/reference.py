@@ -1,10 +1,12 @@
-"""Brute-force references and generators that only the tests call.
+"""Brute-force references, generators and checkers that only the tests call.
 
 The package keeps what its commands run; the independent answers the tests
-check it against live here.  Each function is the definition read off
+check it against live here.  Each reference is the definition read off
 directly: a full scan over functions, hitting sets, assignments or
 dominating sets, or a resampling generator.  Where a reference scans all
-3^n functions it reuses the oracle's vectorised tables.
+3^n functions it reuses the oracle's vectorised tables.  The checkers of the
+paper's two nice-property conditions and the solver-backed extension check
+live here too, since no command runs them.
 
 pytest does not collect this module (its name does not start with
 `test_`); the test modules import it by name from this directory.
@@ -16,6 +18,7 @@ import random
 from itertools import combinations
 
 from romanenum.families import random_split_graph
+from romanenum.fixed_two import solver_for
 from romanenum.graphs import (
     CobipartitePartition,
     Graph,
@@ -25,6 +28,7 @@ from romanenum.graphs import (
     closed_neighborhood,
     intersection_graph,
     is_connected,
+    open_neighborhood,
 )
 from romanenum.oracle import (
     DEFAULT_CAP,
@@ -37,7 +41,16 @@ from romanenum.oracle import (
     _tuples_for_indices,
     _variant_flags,
 )
-from romanenum.roman import RomanFunction, Variant, is_variant, pos_mask, two_mask
+from romanenum.roman import (
+    RomanFunction,
+    TwoSetContext,
+    UnsupportedRoute,
+    Variant,
+    is_variant,
+    pos_mask,
+    sub_one,
+    two_mask,
+)
 
 # ------------------------------------------------------------- functions
 
@@ -83,6 +96,67 @@ def exists_minimal_geq(g: Graph, f: tuple, variant: Variant, cap: int = DEFAULT_
     minimal, pos, m2 = _minimal_scan(g, variant, cap)
     geq = ((pos_mask(f) & ~pos[minimal]) == 0) & ((two_mask(f) & ~m2[minimal]) == 0)
     return bool(geq.any())
+
+
+# ------------------------------------------- the nice-property conditions
+
+
+def add_one(f: RomanFunction, mask: int) -> RomanFunction:
+    """Raise every vertex of the mask by one."""
+    out = list(f)
+    for v in bits(mask):
+        if out[v] >= 2:
+            raise ValueError(f"vertex {v} already at value 2")
+        out[v] += 1
+    return tuple(out)
+
+
+def zero_raise_keeps_property(g: Graph, f: RomanFunction, v: int, variant: Variant) -> bool:
+    """Raising a 0-vertex to 1 must preserve the property.
+
+    Preconditions: f has the property and f(v) = 0.
+    """
+    if f[v] != 0:
+        raise ValueError(f"vertex {v} does not have value 0")
+    if not is_variant(g, f, variant):
+        raise ValueError("function does not have the property")
+    return is_variant(g, add_one(f, bit(v)), variant)
+
+
+def two_drop_iff_no_private(g: Graph, f: RomanFunction, v: int, variant: Variant) -> bool:
+    """Lowering a 2-vertex to 1 preserves the property exactly when the vertex
+    has no private neighbor besides itself among the non-1 vertices.
+
+    Preconditions: f has the property and f(v) = 2.  Returns True iff the
+    biconditional holds at v.
+    """
+    if f[v] != 2:
+        raise ValueError(f"vertex {v} does not have value 2")
+    if not is_variant(g, f, variant):
+        raise ValueError("function does not have the property")
+    keeps = is_variant(g, sub_one(f, bit(v)), variant)
+    no_external = not TwoSetContext(g, two_mask(f), variant).private[v] & ~pos_mask(f)
+    return keeps == no_external
+
+
+def extension_check(g: Graph, f: RomanFunction, variant: Variant, model=None) -> bool:
+    """Is there a minimal function of the variant that dominates f pointwise?
+
+    Requires that no 1-vertex of f touch a 2-vertex; the answer then
+    coincides with non-emptiness of the fixed-two-set completion at the
+    2-set of f, computed by the matching solver.  exists_minimal_geq is the
+    full scan it is checked against.
+    """
+    if len(f) != g.n:
+        raise ValueError("function length does not match graph order")
+    pos = pos_mask(f)
+    m2 = two_mask(f)
+    m1 = pos & ~m2
+    if open_neighborhood(g, m1) & m2:
+        raise UnsupportedRoute(
+            "extension check requires that no 1-vertex touch a 2-vertex"
+        )
+    return solver_for(g, variant, model=model).first(m2) is not None
 
 
 # ------------------------------------------------------------- hypergraphs

@@ -58,10 +58,10 @@ def test_enumerate_mrdf_with_stats(capsys, p4_file):
     assert out[:7] == MRDF_P4_LINES
     assert out[7:12] == [
         "# outputs=7",
-        "# sets_explored=11",
-        "# empty_sets_explored=6",
-        "# max_consecutive_empty=3",
-        "# max_inter_output_work=4",
+        "# sets_explored=7",
+        "# empty_sets_explored=2",
+        "# max_consecutive_empty=1",
+        "# max_inter_output_work=2",
     ]
     assert out[12].startswith("# seconds=")
     assert len(out) == 13

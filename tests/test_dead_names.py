@@ -19,13 +19,6 @@ PACKAGE = ROOT / "src" / "romanenum"
 TESTS = ROOT / "tests"
 REFERENCE = TESTS / "reference.py"
 
-# public names kept without a caller in the package, one reason each
-ALLOWED = {
-    "extension_check": "library API for the paper's extension problem",
-    "zero_raise_keeps_property": "library API for the paper's first nice-property condition",
-    "two_drop_iff_no_private": "library API for the paper's second nice-property condition",
-}
-
 
 def definitions(tree):
     """(name, node) for every top-level function or class and every
@@ -78,9 +71,7 @@ def test_every_package_name_is_used():
     package = parsed(PACKAGE)
     searched = list(package.values()) + list(parsed(ROOT / "perfbench").values())
     dead = dead_names([(path.stem, tree) for path, tree in package.items()], searched)
-    # the allowlist holds exactly the unused names: no more, and none that
-    # has since found a caller
-    assert sorted(name.split(".")[-1] for name in dead) == sorted(ALLOWED)
+    assert dead == []
 
 
 def test_every_reference_is_used_by_a_test():

@@ -1,6 +1,8 @@
 """Engine behaviour: completeness, pruning, delay counters, budgets."""
 
+import hashlib
 import random
+import sys
 import time
 from itertools import islice
 
@@ -14,10 +16,23 @@ from romanenum.families import (
     random_graph,
     random_interval_instance,
 )
-from romanenum.fixed_two import IntervalConnectedSolver, MrdfSolver, RdfSolver, solver_for
-from romanenum.graphs import IntervalModel, intersection_graph
+from romanenum.fixed_two import (
+    FixedTwoSolver,
+    IntervalConnectedSolver,
+    MrdfSolver,
+    RdfSolver,
+    solver_for,
+)
+from romanenum.graphs import IntervalModel, bit, intersection_graph
 from romanenum.oracle import oracle_all_minimal
-from romanenum.roman import Variant, two_mask
+from romanenum.roman import (
+    Variant,
+    canonical_rdf,
+    format_function,
+    two_mask,
+    valid_children,
+    valid_two_set,
+)
 
 from reference import path_interval_model
 
@@ -177,3 +192,115 @@ def test_interval_route_on_paths_matches_oracle_through_engine():
         solver = IntervalConnectedSolver(g, path_interval_model(n))
         found = {f for _a, f in iter_minimal(g, Variant.CRDF, solver)}
         assert found == oracle_all_minimal(g, Variant.CRDF)
+
+
+# recorded before the engine learnt to skip invalid children, so a change of
+# output order on any engine route fails here
+ENGINE_ORDER_PINNED = "8a715b4ab0a815ae8da03bf9f9abe1db437ca86382be7ca7d3394e0eecb2e7a2"
+
+
+def pinned_runs():
+    """(label, graph, variant, solver) for the engine order pin: rdf and
+    mrdf on 100 random graphs, trdf and crdf on 50 cobipartite graphs, crdf
+    on 50 interval models."""
+    rng = random.Random("engine-order-pin")
+    for seed in range(100):
+        g = random_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
+        yield f"general {seed}", g, Variant.RDF, RdfSolver(g)
+        yield f"general {seed}", g, Variant.MRDF, MrdfSolver(g)
+    for seed in range(50):
+        g, _ = random_cobipartite(rng.randint(2, 10), rng.uniform(0.0, 0.8), rng)
+        for variant in (Variant.TRDF, Variant.CRDF):
+            yield f"cobipartite {seed}", g, variant, solver_for(g, variant)
+    for seed in range(50):
+        g, model = random_interval_instance(rng.randint(2, 10), rng)
+        yield f"interval {seed}", g, Variant.CRDF, IntervalConnectedSolver(g, model)
+
+
+def test_engine_output_order_is_pinned():
+    # one digest over every route's ordered stream: a line per run, then a
+    # line per output with its 2-set mask and the formatted function
+    digest = hashlib.sha256()
+    outputs = 0
+    for label, g, variant, solver in pinned_runs():
+        digest.update(f"{label} {variant.value}\n".encode())
+        for a, f in iter_minimal(g, variant, solver):
+            digest.update(f"{a} {format_function(f)}\n".encode())
+            outputs += 1
+    assert outputs == 11922
+    assert digest.hexdigest() == ENGINE_ORDER_PINNED
+
+
+def test_child_mask_is_exactly_the_valid_children():
+    rng = random.Random(0xE19)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 9), rng.uniform(0.1, 0.9), rng)
+        for a in range(1 << g.n):
+            once = twice = 0
+            for w in range(g.n):
+                dominators = (g.cadj[w] & a).bit_count()
+                once |= (dominators >= 1) << w
+                twice |= (dominators >= 2) << w
+            want = 0
+            for v in range(a.bit_length(), g.n):
+                if valid_two_set(g, a | bit(v)):
+                    want |= bit(v)
+            if not valid_two_set(g, a):
+                assert want == 0
+            assert valid_children(g, a, once, twice) == want, (g, a)
+
+
+class Counted(FixedTwoSolver):
+    """Passes first and stream through, and records every 2-set asked for
+    that is not a valid 2-set."""
+
+    def __init__(self, inner):
+        super().__init__(inner.graph)
+        self.variant = inner.variant
+        self.inner = inner
+        self.invalid = []
+
+    def _check(self, a):
+        if not valid_two_set(self.graph, a):
+            self.invalid.append(a)
+
+    def first(self, a):
+        self._check(a)
+        return self.inner.first(a)
+
+    def stream(self, a):
+        self._check(a)
+        return self.inner.stream(a)
+
+
+def test_the_solver_never_sees_an_invalid_two_set():
+    rng = random.Random(0xE1A)
+    for g, variant, solver in run_instances(rng):
+        counted = Counted(solver)
+        st = EnumerationStats()
+        for _pair in iter_minimal(g, variant, counted, stats=st):
+            pass
+        assert counted.invalid == []
+        if variant is Variant.RDF:
+            # every valid 2-set has its canonical rdf: an output per set
+            assert st.empty_sets_explored == 0
+            assert st.max_inter_output_work <= 1
+            assert st.sets_explored == st.outputs
+
+
+def test_deep_walk_under_a_low_recursion_limit():
+    # the first branch of a long path is {0, 3, 4, 7, 8, ...}: within the
+    # first 200 outputs the 2-sets reach 152 members, so a recursive walk
+    # would need more frames than the limit allows
+    g = path_graph(304)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        out = list(islice(iter_minimal(g, Variant.RDF, RdfSolver(g)), 200))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(set(out)) == 200
+    assert max(a.bit_count() for a, _f in out) == 152
+    for a, f in out:
+        assert two_mask(f) == a
+        assert f == canonical_rdf(g, a)

@@ -18,9 +18,7 @@ from romanenum.roman import (
     TwoSetContext,
     UnsupportedRoute,
     Variant,
-    add_one,
     canonical_rdf,
-    extension_check,
     format_function,
     is_minimal_variant,
     is_variant,
@@ -28,13 +26,18 @@ from romanenum.roman import (
     parse_function,
     pos_mask,
     sub_one,
-    two_drop_iff_no_private,
     two_mask,
     valid_two_set,
-    zero_raise_keeps_property,
 )
 
-from reference import exists_minimal_geq, property_holders
+from reference import (
+    add_one,
+    exists_minimal_geq,
+    extension_check,
+    property_holders,
+    two_drop_iff_no_private,
+    zero_raise_keeps_property,
+)
 
 ALL_MINIMAL_VARIANTS = (Variant.RDF, Variant.MRDF, Variant.TRDF, Variant.CRDF)
 
