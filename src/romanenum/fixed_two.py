@@ -43,7 +43,6 @@ from .graphs import (
     bit,
     bits,
     component_neighborhood,
-    is_dominating,
     mask_of,
     recognize_cobipartite,
     same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
@@ -107,7 +106,7 @@ class MrdfSolver(FixedTwoSolver):
         if not ctx.valid():
             return
         m0 = g.full & ~ctx.pos0
-        if not is_dominating(g, m0):
+        if ctx.minimal(ctx.pos0):
             yield function_from_masks(g.n, a, ctx.pos0)
             return
         seen = set()

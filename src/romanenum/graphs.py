@@ -41,7 +41,10 @@ def parse_vertex_set(text: str, n: int) -> int:
         return 0
     m = 0
     for part in text.split(","):
-        v = int(part)
+        try:
+            v = int(part)
+        except ValueError:
+            raise ValueError(f"vertex set entry {part.strip()!r} is not an integer") from None
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for n={n}")
         m |= 1 << v

@@ -182,6 +182,8 @@ class Hypergraph:
     edges: tuple[int, ...]
 
     def __post_init__(self):
+        if self.universe < 0:
+            raise ValueError(f"hypergraph vertex count {self.universe} is negative")
         full = (1 << self.universe) - 1
         for i, e in enumerate(self.edges):
             if e == 0:

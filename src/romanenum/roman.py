@@ -162,7 +162,8 @@ class TwoSetContext:
                they all lie outside pos0, and v keeps an external private
                neighbor exactly when one of them stays 0
 
-    and `minimal(pos)` decides minimality for the mrdf, trdf or crdf variant.
+    and `minimal(pos)` decides minimality for the rdf, mrdf, trdf or crdf
+    variant.
     The private candidates of different members are disjoint (each is
     covered by its owner alone), and `valid()` is valid_two_set in O(|A|).
     """
@@ -200,7 +201,9 @@ class TwoSetContext:
 
         Besides the property itself, no 2-vertex may lose all its external
         private neighbors, and no 1-vertex next to A may be droppable; a
-        1-vertex outside N(A) cannot be dropped to 0 at all.
+        1-vertex outside N(A) cannot be dropped to 0 at all.  For an rdf
+        every 1-vertex next to A is droppable, so for a valid A the one
+        minimal function is the canonical one, pos == pos0.
         """
         g, a = self.g, self.a
         if g.full & ~pos & ~self.nbr or not self.private_ok(pos):
@@ -226,6 +229,8 @@ class TwoSetContext:
             if not is_connected_set(g, pos):
                 return False
             return not any(is_connected_set(g, pos & ~bit(v)) for v in bits(ones))
+        if self.variant is Variant.RDF:
+            return not ones
         raise ValueError(f"no minimality context for {self.variant}")
 
 
@@ -267,19 +272,16 @@ def valid_children(g: Graph, a: int, once: int, twice: int) -> int:
 def is_minimal_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
     """Minimality among all functions with the given property.
 
-    rdf minimality goes through the 2-set bijection; the other variants use
-    their per-vertex characterizations (no 1-vertex can be dropped without a
-    structural reason, every 2-vertex keeps an external private neighbor),
-    evaluated by TwoSetContext.
+    Every variant but prdf uses its per-vertex characterization (no 1-vertex
+    can be dropped without a structural reason, every 2-vertex keeps an
+    external private neighbor), evaluated by TwoSetContext; for rdf this is
+    the 2-set bijection of canonical_rdf.
     """
     if variant is Variant.PRDF:
         raise UnsupportedRoute("no minimality characterization for prdf")
     if len(f) != g.n:
         raise ValueError("function length does not match graph order")
-    a = two_mask(f)
-    if variant is Variant.RDF:
-        return valid_two_set(g, a) and f == canonical_rdf(g, a)
-    return TwoSetContext(g, a, variant).minimal(pos_mask(f))
+    return TwoSetContext(g, two_mask(f), variant).minimal(pos_mask(f))
 
 
 # ------------------------------------------------------------- diagnostics
@@ -296,7 +298,8 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
         holds = is_variant(g, f, variant)
         lines.append(f"prdf: {'yes' if holds else 'no'} (predicate only, no minimality test)")
         return holds, lines
-    uncovered = m0 & ~open_neighborhood(g, m2)
+    ctx = TwoSetContext(g, m2, variant)
+    uncovered = m0 & ~ctx.nbr
     ok = True
     if uncovered:
         lines.append(f"not an rdf: 0-vertices without a 2-neighbor: {sorted(bits(uncovered))}")
@@ -325,14 +328,13 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
     if not ok:
         lines.append(f"minimal {variant.value}: NO (property fails)")
         return False, lines
-    private = TwoSetContext(g, m2, variant).private
-    bad_two = [v for v in bits(m2) if not private[v] & ~pos]
+    bad_two = [v for v in bits(m2) if not ctx.private[v] & ~pos]
     if bad_two:
         lines.append(f"2-vertices without an external private neighbor: {bad_two}")
     else:
         lines.append("every 2-vertex keeps an external private neighbor: ok")
     if variant is Variant.RDF:
-        if f != canonical_rdf(g, m2):
+        if pos != ctx.pos0:
             lines.append("differs from the canonical rdf of its 2-set: some value is droppable")
         else:
             lines.append("equals the canonical rdf of its 2-set: ok")
@@ -345,6 +347,6 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
             lines.append(f"droppable 1-vertices: {bad_one}")
         else:
             lines.append("no droppable 1-vertex: ok")
-    minimal = is_minimal_variant(g, f, variant)
+    minimal = ctx.minimal(pos)
     lines.append(f"minimal {variant.value}: {'YES' if minimal else 'NO'}")
     return minimal, lines

@@ -1,8 +1,14 @@
 """Suite-wide checks.
 
 Every fixed-2-set solver's stream re-checks each function it yields against
-the minimality predicate while tests run, so any completeness test that
-passes also certifies soundness of the yielded stream.
+the minimality predicate while tests run.  The predicate is
+TwoSetContext.minimal, so the check is independent of the solver only where
+the solver yields without that rule: RdfSolver (valid_two_set and
+canonical_rdf) and the interval solver's window-DAG paths.  MrdfSolver,
+CobipartiteSolver and the interval scan of raised sets of at most three
+vertices filter their candidates with TwoSetContext.minimal itself, so there
+the check re-runs the solver's own filter, and only the oracle
+cross-checks grade them.
 """
 
 import pytest

@@ -273,6 +273,14 @@ def test_fixed_two_bad_vertex(capsys, p4_file):
     )
     assert code == 1
     assert "out of range" in err
+    for two_set, entry in (("1,,2", "''"), ("x", "'x'"), ("0, y", "'y'")):
+        code, out, err = run(
+            capsys,
+            ["fixed-two", "--graph", p4_file, "--variant", "rdf", "--two-set", two_set],
+        )
+        assert code == 1, two_set
+        assert out == [], two_set
+        assert err == f"error: vertex set entry {entry} is not an integer\n", two_set
 
 
 # ----------------------------------------------------------------- oracle
@@ -443,6 +451,17 @@ def test_gadget_split_universal_handling(capsys, tmp_path):
     )
     assert code == 1
     assert "universal element" in err
+
+
+def test_gadget_split_rejects_a_negative_vertex_count(capsys, tmp_path):
+    hg = tmp_path / "negative.hg"
+    hg.write_text("-1 0\n")
+    code, out, err = run(
+        capsys, ["gadget", "--kind", "split-transversal", "--hypergraph", str(hg)]
+    )
+    assert code == 1
+    assert out == []
+    assert err == "error: hypergraph vertex count -1 is negative\n"
 
 
 def test_gadget_missing_inputs(capsys):

@@ -55,8 +55,9 @@ def test_parse_vertex_set_rejects_bad_input():
         parse_vertex_set("4", 4)
     with pytest.raises(ValueError):
         parse_vertex_set("-1", 4)
-    with pytest.raises(ValueError):
-        parse_vertex_set("a", 4)
+    for text, entry in (("a", "'a'"), ("1,,2", "''"), ("1, 2.5", "'2.5'")):
+        with pytest.raises(ValueError, match=f"vertex set entry {entry} is not an integer"):
+            parse_vertex_set(text, 4)
 
 
 def test_graph_construction_and_accessors():

@@ -1,6 +1,8 @@
 """Function predicates: variants, minimality, constraint probes, extension."""
 
+import hashlib
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -20,6 +22,7 @@ from romanenum.roman import (
     Variant,
     canonical_rdf,
     format_function,
+    function_from_masks,
     is_minimal_variant,
     is_variant,
     minimality_report,
@@ -138,7 +141,8 @@ def test_canonical_rdf_and_valid_two_set():
 
 def test_context_validity_is_valid_two_set():
     # every 2-set of random graphs: the context's O(|A|) test against the
-    # definition
+    # definition, and its rdf rule against the 2-set bijection that
+    # RdfSolver yields from
     rng = random.Random(0x2C7)
     seen = {True: 0, False: 0}
     for _ in range(200):
@@ -146,6 +150,9 @@ def test_context_validity_is_valid_two_set():
         for a in range(1 << g.n):
             want = valid_two_set(g, a)
             assert TwoSetContext(g, a, Variant.CRDF).valid() == want, (g.edges(), a)
+            ctx = TwoSetContext(g, a, Variant.RDF)
+            assert ctx.minimal(ctx.pos0) == want, (g.edges(), a)
+            assert function_from_masks(g.n, a, ctx.pos0) == canonical_rdf(g, a), (g.edges(), a)
             seen[want] += 1
     assert min(seen.values()) >= 1000, seen
 
@@ -280,3 +287,31 @@ def test_minimality_report_verdicts():
     assert not ok and any("NO" in ln for ln in lines)
     ok, lines = minimality_report(p4, (1, 1, 1, 1), Variant.PRDF)
     assert ok and lines
+
+
+def report_digest(max_n):
+    """(cases, sha256) of minimality_report's verdict and lines on every
+    labelled graph with at most max_n vertices, every function and every
+    variant."""
+    digest = hashlib.sha256()
+    cases = 0
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for edges in range(1 << len(pairs)):
+            g = Graph(n, (e for i, e in enumerate(pairs) if edges >> i & 1))
+            for f in product(range(3), repeat=n):
+                for variant in Variant:
+                    verdict, lines = minimality_report(g, f, variant)
+                    digest.update(f"{n} {edges} {format_function(f)} {variant.value} {verdict}\n".encode())
+                    digest.update("".join(line + "\n" for line in lines).encode())
+                    cases += 1
+    return cases, digest.hexdigest()
+
+
+# recorded before minimality_report moved onto one TwoSetContext, so any
+# change of a verdict or a line fails here
+REPORT_PINNED = "b50161ffc51e88e4737f17a24a9f0f4ae0baf3a2d1871c016374cfa243f12e3a"
+
+
+def test_minimality_report_is_pinned():
+    assert report_digest(4) == (27110, REPORT_PINNED)
