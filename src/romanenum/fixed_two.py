@@ -18,17 +18,20 @@ It holds the canonical positive set, N(A) and the private candidates of
 each member of A, so each candidate is tested as a positive-set mask against
 constants of A; a tuple is built only for a candidate that passes.
 
-The interval solver's window tests are neighborhood masks.  With B the
-canonical positive set, the component of a root r in G[B + X] is r's own
-component in G[B + r] joined with that of each added vertex x in G[B + x]
-that the growing component touches, since x brings exactly the components of
-G[B] next to it.  So N(component) is an OR of per-vertex masks, built with
-one breadth-first search per component of G[B], and every vertex the window
-could add next is read off a difference of three such ORs (see
-WindowTables).  The solver keeps the graph labelled in interval order, so
-the window DAG's nodes are positions and its successors come sorted, and it
-walks each source-to-sink path once, never entering a node again once the
-node's subtree gave no sink.
+The interval solver's window tests are neighborhood masks in closed form.
+With B the canonical positive set, the component of a root r in G[B + X] is
+r's own component in G[B + r] joined with that of each added vertex x in
+G[B + x] that the growing component touches, since x brings exactly the
+components of G[B] next to it.  So every vertex a window could add next is
+a difference of ORs of per-vertex masks, decided with a few bit tests and no
+loop (see WindowTables).  The solver keeps the graph labelled in interval
+order, where each component of G[B] is a run of consecutive members of B,
+so one sweep over B finds the components and their neighborhoods, with no
+search.  A start triple needs exactly one of its first two members next to
+the first component, so only those pairs are tried.  The window DAG's nodes
+are positions and its successors come sorted, and the solver walks each
+source-to-sink path once, never entering a node again once the node's
+subtree gave no sink.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .graphs import (
     IntervalModel,
     bit,
     bits,
-    component_neighborhood,
     mask_of,
     recognize_cobipartite,
     same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
@@ -186,14 +188,21 @@ class WindowTables:
     added 0-vertex x brings exactly the components of G[B] next to it, so
     C_r(B + X) is C_r(B + r) joined with C_x(B + x) for each x in X that the
     growing component touches, and N(C_r(B + X)) is N_r OR'd with N_x over
-    those x (_touching).  N_v is N(K) for v in the component K of G[B], and
-    N(v) OR'd with N(K) of each component v touches for a 0-vertex v, so the
-    tables cost one breadth-first search per component of G[B].
+    those x.  For a pair (u, v) that gives a closed form: the mask is 0
+    unless exactly one of u, v lies in N_r, say j, with k the other; then it
+    is N_k - N_r - N_j if k lies in N_j, and 0 otherwise.  N_v is N(K) for v
+    in the component K of G[B], and N(v) OR'd with N(K) of each component v
+    touches for a 0-vertex v, so the tables need only the pairs (K, N(K)),
+    which the caller passes in: the interval solver reads them off one sweep
+    in interval order, and on any other graph a search finds them.  The
+    closed form also means a start pair (x, y) has a nonzero mask only if
+    exactly one of x, y lies in N_s, the 0-vertices next to s's component.
 
     The private candidates of the members of A are disjoint, so each vertex
     has at most one owner in A, and a window can take up every private
     candidate only of an owner of one of its members: the condition checks
-    those owners, in O(window).
+    those owners, in O(window), through a table that maps each vertex to
+    its owner's private candidates.
 
     The private-neighbor condition of the middle test is kept although no
     instance is known where dropping it changes an output: an exhaustive
@@ -203,62 +212,56 @@ class WindowTables:
     that the start and end tests imply it.
     """
 
-    def __init__(self, g: Graph, ctx: TwoSetContext, s: int, t: int):
-        self.g = g
-        self.ctx = ctx
+    def __init__(self, g: Graph, ctx: TwoSetContext, s: int, t: int, components: list):
         self.s = s
         self.t = t
-        base = ctx.pos0
-        zeros = g.full & ~base
+        zeros = g.full & ~ctx.pos0
         border = list(g.adj)  # border[v] = N_v once the components are in
-        rest = base
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            nb = component_neighborhood(g, base, v)
-            component = nb & base | bit(v)
-            rest &= ~component
-            for u in bits(component):
-                border[u] = nb
-            for u in bits(nb & zeros):
-                border[u] |= nb
+        for component, nb in components:
+            while component:
+                low = component & -component
+                border[low.bit_length() - 1] = nb
+                component ^= low
+            joining = nb & zeros
+            while joining:
+                low = joining & -joining
+                border[low.bit_length() - 1] |= nb
+                joining ^= low
         self._border = border
-        owner = [-1] * g.n  # owner[u]: the member of A that u is private to
-        for v, candidates in ctx.private.items():
+        # kept[u]: the private candidates of the member of A that u is
+        # private to, or a bit outside the graph if there is none
+        kept = [g.full + 1] * g.n
+        for candidates in ctx.private.values():
             for u in bits(candidates):
-                owner[u] = v
-        self._owner = owner
-
-    def _touching(self, root: int, added: int) -> int:
-        """N(C_root(B + added)) for a mask of 0-vertices other than root."""
-        border = self._border
-        got = border[root]
-        joined = got & added
-        while joined:
-            low = joined & -joined
-            added ^= low
-            got |= border[low.bit_length() - 1]
-            joined = got & added
-        return got
+                kept[u] = candidates
+        self._kept = kept
 
     def _needing_both(self, root: int, u: int, v: int) -> int:
         """The vertices that join root's component once u and v are added,
         but not with only one of them."""
-        bu, bv = 1 << u, 1 << v
-        with_u = self._touching(root, bu)
-        with_v = self._touching(root, bv)
-        if not (with_u & bv and with_v & bu):
-            # one of the pair leaves the root's component as it is
+        border = self._border
+        near = border[root]
+        if near >> u & 1:
+            if near >> v & 1:  # each joins alone, so none needs both
+                return 0
+            j, k = u, v
+        elif near >> v & 1:
+            j, k = v, u
+        else:  # neither joins, so the component stays as it is
             return 0
-        return self._touching(root, bu | bv) & ~with_u & ~with_v
+        if not border[j] >> k & 1:  # k stays outside even after j joins
+            return 0
+        return border[k] & ~near & ~border[j]
 
     def _keeps_private(self, *window: int) -> bool:
         """ctx.private_ok on the window's mask, checking only the owners of
         its members."""
-        private, owner = self.ctx.private, self._owner
-        taken = mask_of(window)
+        kept = self._kept
+        taken = 0
         for u in window:
-            v = owner[u]
-            if v >= 0 and not private[v] & ~taken:
+            taken |= 1 << u
+        for u in window:
+            if not kept[u] & ~taken:
                 return False
         return True
 
@@ -324,9 +327,12 @@ class IntervalConnectedSolver(FixedTwoSolver):
     is output when it reaches a sink, and a node whose subtree gave no sink
     is marked dead and never entered again, so each dead subtree is explored
     once and the delay stays polynomial.  Successors and start nodes are read
-    off WindowTables masks, ORs of per-vertex masks that cost one
-    breadth-first search per component of the positive set, so no search
-    runs per DAG node.  Output masks are built in input labels as the walk
+    off WindowTables masks in closed form, built from the components of the
+    positive set that one sweep in interval order finds (_components), so
+    no search runs per 2-set or per DAG node, and the start pairs tried are
+    only those with one member next to the first component, at most
+    |that neighborhood| times the spare vertices rather than every pair of
+    them.  Output masks are built in input labels as the walk
     pushes each raised vertex, on an explicit stack, so the walk's depth is
     not bounded by Python's recursion limit.
     """
@@ -384,9 +390,28 @@ class IntervalConnectedSolver(FixedTwoSolver):
             # same component
             iv = self._model.intervals
             t = max(members, key=lambda p: iv[p][1])
-            yield from self._large_stream(a, base, spare, WindowTables(h, ctx, members[0], t))
+            components = self._components(members)
+            tables = WindowTables(h, ctx, members[0], t, components)
+            yield from self._large_stream(a, base, spare, tables, components[0][1] & spare)
 
-    def _large_stream(self, a, base, spare, tables) -> Iterator[RomanFunction]:
+    def _components(self, members) -> list:
+        """(K, N(K)) for each component K of G[members], left to right.
+
+        Intervals of different components are disjoint, so in interval
+        order each component is a run of members, and a member joins the
+        current run iff it is adjacent to the run: no later interval meets
+        a run it starts after."""
+        rows = self._graph.adj
+        runs: list = []
+        for p in members:
+            if runs and runs[-1][1] >> p & 1:
+                runs[-1][0] |= 1 << p
+                runs[-1][1] |= rows[p]
+            else:
+                runs.append([1 << p, rows[p]])
+        return runs
+
+    def _large_stream(self, a, base, spare, tables, near) -> Iterator[RomanFunction]:
         n, order = self._graph.n, self.order
         tested: dict = {}
         dead = set()
@@ -433,11 +458,13 @@ class IntervalConnectedSolver(FixedTwoSolver):
                             dead.add(node)
 
         # start nodes in lexicographic order: each pair's mask gives every
-        # third member at once
-        for x, y in combinations(bits(spare), 2):
-            for z in later(tables.start_mask(x, y), y):
-                if (x, y, z) not in dead and tables._keeps_private(x, y, z):
-                    yield from walk((x, y, z))
+        # third member at once, and only a pair with exactly one member in
+        # near, the 0-vertices next to s's component, has a nonzero mask
+        for x in bits(spare):
+            for y in later(spare & ~near if near >> x & 1 else near, x):
+                for z in later(tables.start_mask(x, y), y):
+                    if (x, y, z) not in dead and tables._keeps_private(x, y, z):
+                        yield from walk((x, y, z))
 
 
 def solver_for(

@@ -188,22 +188,6 @@ def _reach(g: Graph, s: int, seed: int) -> int:
     return reach
 
 
-def component_neighborhood(g: Graph, s: int, v: int) -> int:
-    """N(C) for C the component of v in G[s + v]: every vertex adjacent to
-    some member of C.  A vertex z outside s + v joins v's component in
-    G[s + v + z] exactly when it lies in this mask."""
-    reach = frontier = bit(v)
-    border = 0
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u]
-        border |= nxt
-        frontier = nxt & s & ~reach
-        reach |= frontier
-    return border
-
-
 def is_connected_set(g: Graph, s: int) -> bool:
     """True iff G[s] is connected.  The empty set counts as connected."""
     if s == 0:

@@ -226,6 +226,39 @@ def exists_minimal_dominating_superset(g: Graph, u: int, cap: int = 20) -> bool:
     return False
 
 
+# ------------------------------------------------------------ connectivity
+
+
+def component_neighborhood(g: Graph, s: int, v: int) -> int:
+    """N(C) for C the component of v in G[s + v]: every vertex adjacent to
+    some member of C.  A vertex z outside s + v joins v's component in
+    G[s + v + z] exactly when it lies in this mask."""
+    reach = frontier = bit(v)
+    border = 0
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= g.adj[u]
+        border |= nxt
+        frontier = nxt & s & ~reach
+        reach |= frontier
+    return border
+
+
+def components_by_search(g: Graph, s: int) -> list[tuple[int, int]]:
+    """(K, N(K)) for each component K of G[s], one breadth-first search
+    each: what WindowTables takes, on any graph."""
+    found = []
+    rest = s
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        nb = component_neighborhood(g, s, v)
+        component = nb & s | bit(v)
+        found.append((component, nb))
+        rest &= ~component
+    return found
+
+
 # ---------------------------------------------------------- graph classes
 
 

@@ -9,11 +9,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import romanenum.cli as cli
 from romanenum.cli import main
+from romanenum.families import path_graph
+from romanenum.fixed_two import MrdfSolver
 from romanenum.gadgets import gadget_maxrd_from_extds
 from romanenum.graphs import Graph, bit, format_graph, format_intervals, parse_graph
 from romanenum.oracle import oracle_all_minimal
@@ -264,6 +268,42 @@ def test_fixed_two_empty_set_and_stats(capsys, p4_file):
     assert out[0] == "1111"
     assert out[1] == "# outputs=1"
     assert out[2].startswith("# seconds=")
+
+
+def test_fixed_two_seconds_leave_out_the_writes(capsys, monkeypatch, tmp_path):
+    # an output sink that sleeps at every function line: --stats times the
+    # solver's stream steps only, as enumerate does, and a --limit break
+    # closes the stream before the stats are written
+    path = tmp_path / "p6.graph"
+    path.write_text(format_graph(path_graph(6)))
+    pause = 0.02
+    events = []
+    write, stream = cli._Out.line, MrdfSolver.stream
+
+    def slow(self, text):
+        if not text.startswith("#"):
+            time.sleep(pause)
+        events.append(text)
+        write(self, text)
+
+    def watched(self, a):
+        try:
+            yield from stream(self, a)
+        finally:
+            events.append("closed")
+
+    monkeypatch.setattr(cli._Out, "line", slow)
+    monkeypatch.setattr(MrdfSolver, "stream", watched)
+    argv = ["fixed-two", "--graph", str(path), "--variant", "mrdf", "--two-set", "1,4", "--stats"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out[:4] == ["120020", "021120", "020021", "# outputs=3"]
+    assert 0.0 < float(out[4].removeprefix("# seconds=")) < pause
+
+    events.clear()
+    code, out, _ = run(capsys, [*argv, "--limit", "1"])
+    assert code == 0
+    assert events[:3] == ["120020", "closed", "# outputs=1"]
 
 
 def test_fixed_two_bad_vertex(capsys, p4_file):

@@ -14,6 +14,8 @@ from itertools import combinations, islice, permutations
 import pytest
 
 import romanenum.fixed_two as fixed_two
+import romanenum.graphs as graph_core
+from romanenum.engine import iter_minimal
 from romanenum.families import (
     complete_graph,
     cycle_graph,
@@ -37,7 +39,6 @@ from romanenum.graphs import (
     IntervalModel,
     bit,
     bits,
-    component_neighborhood,
     intersection_graph,
     is_connected,
     is_connected_set,
@@ -55,7 +56,12 @@ from romanenum.roman import (
     two_mask,
 )
 
-from reference import path_interval_model, validate_interval_model
+from reference import (
+    component_neighborhood,
+    components_by_search,
+    path_interval_model,
+    validate_interval_model,
+)
 
 
 # the most completions one 2-set can have, per solver, on n vertices
@@ -246,33 +252,33 @@ def test_fewest_connectors_matches_brute_force():
         assert fewest_connectors(model, members, spare) == fewest, (model, pos)
 
 
-def probe_start(tables, x, y, z):
-    g, s, base = tables.g, tables.s, tables.ctx.pos0
+def probe_start(g, ctx, tables, x, y, z):
+    s, base = tables.s, ctx.pos0
     return (
         same_component(g, base | mask_of((x, y, z)), s, z)
         and not same_component(g, base | mask_of((x, z)), s, z)
         and not same_component(g, base | mask_of((y, z)), s, z)
-        and tables.ctx.private_ok(mask_of((x, y, z)))
+        and ctx.private_ok(mask_of((x, y, z)))
     )
 
 
-def probe_end(tables, x, y, z):
-    g, t, base = tables.g, tables.t, tables.ctx.pos0
+def probe_end(g, ctx, tables, x, y, z):
+    t, base = tables.t, ctx.pos0
     return (
         same_component(g, base | mask_of((x, y, z)), t, x)
         and not same_component(g, base | mask_of((x, z)), t, x)
         and not same_component(g, base | mask_of((x, y)), t, x)
-        and tables.ctx.private_ok(mask_of((x, y, z)))
+        and ctx.private_ok(mask_of((x, y, z)))
     )
 
 
-def probe_middle(tables, w, x, y, z):
-    g, base = tables.g, tables.ctx.pos0
+def probe_middle(g, ctx, w, x, y, z):
+    base = ctx.pos0
     return (
         same_component(g, base | mask_of((w, x, y, z)), w, z)
         and not same_component(g, base | mask_of((w, x, z)), w, z)
         and not same_component(g, base | mask_of((w, y, z)), w, z)
-        and tables.ctx.private_ok(mask_of((w, x, y, z)))
+        and ctx.private_ok(mask_of((w, x, y, z)))
     )
 
 
@@ -300,16 +306,16 @@ def test_window_masks_match_the_connectivity_probes():
             iv = model.intervals
             s = min(bits(ctx.pos0), key=iv.__getitem__)
             t = max(bits(ctx.pos0), key=lambda v: iv[v][1])
-            tables = WindowTables(g, ctx, s, t)
+            tables = WindowTables(g, ctx, s, t, components_by_search(g, ctx.pos0))
             for x, y, z in permutations(universe, 3):
                 start_ok = bool(tables.start_mask(x, y) >> z & 1) and tables._keeps_private(x, y, z)
                 for got, probe in ((start_ok, probe_start), (tables.end_ok(x, y, z), probe_end)):
-                    want = probe(tables, x, y, z)
+                    want = probe(g, ctx, tables, x, y, z)
                     assert got == want, (model, g.edges(), ctx.a, x, y, z)
                     passed[probe] += want
                     checked += 1
             for w, x, y, z in permutations(universe, 4):
-                want = probe_middle(tables, w, x, y, z)
+                want = probe_middle(g, ctx, w, x, y, z)
                 got = bool(tables.middle_mask(w, x, y) >> z & 1) and tables._keeps_private(w, x, y, z)
                 assert got == want, (model, g.edges(), ctx.a, w, x, y, z)
                 passed[probe_middle] += want
@@ -318,26 +324,31 @@ def test_window_masks_match_the_connectivity_probes():
     assert min(passed[p] for p in (probe_start, probe_end, probe_middle)) >= 30, passed
 
 
-def test_touching_is_the_component_neighborhood():
-    # N(C_r(B + X)) as an OR of per-vertex masks, on random graphs: every
-    # root and every set X of at most two 0-vertices other than the root
+def test_needing_both_is_three_component_probes():
+    # the closed form against its definition, N(C_r(B + u + v)) less
+    # N(C_r(B + u)) and N(C_r(B + v)), on random graphs: every root and
+    # every ordered pair of 0-vertices other than the root
     rng = random.Random(0x4571)
-    checked = 0
+    checked = nonzero = 0
     for _ in range(400):
         g = random_graph(rng.randint(1, 10), rng.uniform(0.1, 0.6), rng)
         a = mask_of(rng.sample(range(g.n), rng.randint(0, min(3, g.n))))
         ctx = TwoSetContext(g, a, Variant.CRDF)
-        root = next(bits(ctx.pos0))
-        tables = WindowTables(g, ctx, root, root)
-        zeros = list(bits(g.full & ~ctx.pos0))
+        base = ctx.pos0
+        root = next(bits(base))
+        tables = WindowTables(g, ctx, root, root, components_by_search(g, base))
+        zeros = list(bits(g.full & ~base))
         for r in range(g.n):
-            for k in range(3):
-                for added in combinations([v for v in zeros if v != r], k):
-                    x = mask_of(added)
-                    want = component_neighborhood(g, ctx.pos0 | x, r)
-                    assert tables._touching(r, x) == want, (g.edges(), ctx.a, r, added)
-                    checked += 1
-    assert checked > 8000, checked
+            for u, v in permutations([z for z in zeros if z != r], 2):
+                want = (
+                    component_neighborhood(g, base | bit(u) | bit(v), r)
+                    & ~component_neighborhood(g, base | bit(u), r)
+                    & ~component_neighborhood(g, base | bit(v), r)
+                )
+                assert tables._needing_both(r, u, v) == want, (g.edges(), ctx.a, r, u, v)
+                checked += 1
+                nonzero += want != 0
+    assert checked > 8000 and nonzero > 400, (checked, nonzero)
 
 
 def test_owner_indexed_private_test_matches_private_ok():
@@ -351,7 +362,7 @@ def test_owner_indexed_private_test_matches_private_ok():
         if not ctx.valid():
             continue
         root = next(bits(ctx.pos0))
-        tables = WindowTables(g, ctx, root, root)
+        tables = WindowTables(g, ctx, root, root, components_by_search(g, ctx.pos0))
         zeros = list(bits(g.full & ~ctx.pos0))
         for k in range(1, 5):
             for window in combinations(zeros, k):
@@ -527,47 +538,45 @@ def test_long_chain_first_output_is_fast():
     assert elapsed < 1.0, f"first output took {elapsed:.2f}s"
 
 
-def test_first_output_probe_count_grows_linearly(monkeypatch):
-    # breadth-first searches until the first completion of the chain's 2-set;
-    # a window test per (DAG node, later vertex) would grow about 4x per
-    # doubling of the chain, one neighborhood mask per node about 2x
+def searches_to_first_output(monkeypatch, anchors):
+    """Breadth-first searches from building a solver to building the first
+    completion of a k-anchor chain's 2-set.  Every search in the package
+    runs graphs._reach; the count is read when the solver builds its output,
+    before the suite's yield check runs searches of its own."""
     searches = 0
-    reach = fixed_two.component_neighborhood
+    at_output = []
+    reach, build = graph_core._reach, fixed_two.function_from_masks
 
     def counted(*args):
         nonlocal searches
         searches += 1
         return reach(*args)
 
-    monkeypatch.setattr(fixed_two, "component_neighborhood", counted)
-    counts = []
-    for anchors in (20, 40, 80, 160):
-        g, model, seed = double_link_chain(anchors)
-        searches = 0
-        first = IntervalConnectedSolver(g, model).first(seed)
-        assert first is not None and two_mask(first) == seed
-        counts.append(searches)
-    for small, large in zip(counts, counts[1:]):
-        assert 0 < large <= 2.5 * small, counts
+    def built(*args):
+        at_output.append(searches)
+        return build(*args)
+
+    monkeypatch.setattr(graph_core, "_reach", counted)
+    monkeypatch.setattr(fixed_two, "function_from_masks", built)
+    g, model, seed = double_link_chain(anchors)
+    first = IntervalConnectedSolver(g, model).first(seed)
+    assert first is not None and two_mask(first) == seed
+    return at_output[0]
+
+
+def test_first_output_probe_count_grows_linearly(monkeypatch):
+    # the sweep hands the window tables the components of the positive set,
+    # and the window tests are closed forms, so the count is zero at every
+    # length (it was one search per anchor)
+    counts = [searches_to_first_output(monkeypatch, k) for k in (20, 40, 80, 160)]
+    assert counts == [0, 0, 0, 0], counts
 
 
 @pytest.mark.parametrize("anchors", (20, 40, 80, 160))
 def test_first_output_searches_once_per_anchor(monkeypatch, anchors):
-    # the window tables search each component of the positive set once, and
-    # on the chain's 2-set the anchors are those components
-    searches = 0
-    reach = fixed_two.component_neighborhood
-
-    def counted(*args):
-        nonlocal searches
-        searches += 1
-        return reach(*args)
-
-    monkeypatch.setattr(fixed_two, "component_neighborhood", counted)
-    g, model, seed = double_link_chain(anchors)
-    first = IntervalConnectedSolver(g, model).first(seed)
-    assert first is not None and two_mask(first) == seed
-    assert 0 < searches <= anchors, searches
+    # at most once per anchor, and in fact never: on the chain's 2-set the
+    # raised sets are too large for the scan, whose probes are searches
+    assert searches_to_first_output(monkeypatch, anchors) == 0
 
 
 class CountedTables(WindowTables):
@@ -613,6 +622,60 @@ def test_full_stream_tests_each_dag_node_once(window_tests):
     for name in ("middle", "end"):
         calls = window_tests[name]
         assert len(calls) == len(set(calls)) == 40, name
+
+
+def spread_layout(n, rng):
+    """n intervals [2i + U(0,3), that + U(1,7)], each moved left to the
+    furthest right end before it where it would start a gap, so the graph
+    is connected.  Its empty 2-sets have long runs of spare intervals."""
+    intervals = []
+    reach = 3
+    for i in range(n):
+        lo = min(2 * i + rng.randint(0, 3), reach)
+        hi = lo + rng.randint(1, 7)
+        reach = max(reach, hi)
+        intervals.append((lo, hi))
+    model = IntervalModel(tuple(intervals))
+    return intersection_graph(model), model
+
+
+class StartCountedTables(WindowTables):
+    """WindowTables that counts its own start tests."""
+
+    made = None  # every table built, set per test
+
+    def __init__(self, g, ctx, *args):
+        super().__init__(g, ctx, *args)
+        self.graph, self.ctx = g, ctx
+        self.starts = 0
+        self.made.append(self)
+
+    def start_mask(self, *args):
+        self.starts += 1
+        return super().start_mask(*args)
+
+
+def test_start_pairs_grow_linearly_at_scale(monkeypatch):
+    # the start pairs tried per 2-set over the engine's first 2,000 outputs
+    # on spread layouts: only pairs with one member next to s's component,
+    # found here by search, so the worst 2-set grows linearly in the layout
+    # (it was every pair of spare vertices: 406 / 1,485 / 3,828 tests)
+    monkeypatch.setattr(fixed_two, "WindowTables", StartCountedTables)
+    worst = {}
+    for n in (40, 80, 160):
+        made = []
+        monkeypatch.setattr(StartCountedTables, "made", made)
+        g, model = spread_layout(n, random.Random(n))
+        assert is_connected(g)
+        solver = IntervalConnectedSolver(g, model)
+        assert sum(1 for _ in islice(iter_minimal(g, Variant.CRDF, solver), 2000)) == 2000
+        for tables in made:
+            base = tables.ctx.pos0
+            spare = tables.graph.full & ~base
+            near = component_neighborhood(tables.graph, base, tables.s) & spare
+            assert tables.starts <= near.bit_count() * spare.bit_count(), (n, tables.ctx.a)
+        worst[n] = max(tables.starts for tables in made)
+    assert worst[160] <= 4 * worst[40], worst
 
 
 def chain_like_layout(rng):
@@ -667,6 +730,47 @@ def test_interval_output_order_is_pinned():
                 window_route += (pos_mask(f) & ~pos0).bit_count() >= 4
     assert (outputs, window_route) == (4224, 1647)
     assert digest.hexdigest() == ORDER_PINNED
+
+
+# recorded before the window tests took their closed form and the start
+# pairs were restricted, so a change of output order, or an output lost on a
+# 2-set that streams nothing, fails here
+EVERY_SET_PINNED = "3ee23ed50c220fa41265177c8733ba85c30d8aed505d9463d416806e2c1435ae"
+
+
+def test_interval_output_order_is_pinned_on_every_two_set():
+    # one digest over the ordered stream of every valid 2-set, empty ones
+    # included, on 60 layouts of at most 12 intervals: random, sparse (many
+    # completions through the window DAG) and chain-like
+    digest = hashlib.sha256()
+    sets = empty = outputs = window_route = 0
+    for seed in range(60):
+        rng = random.Random(f"every-set/{seed}")
+        if seed % 3 == 0:
+            g, model = random_interval_instance(rng.randint(8, 12), rng)
+        elif seed % 3 == 1:
+            model = sparse_interval_layout(rng.randint(9, 12), rng)
+            g = intersection_graph(model)
+        else:
+            g, model, _ = chain_like_layout(rng)
+            while g.n > 12:
+                g, model, _ = chain_like_layout(rng)
+        solver = IntervalConnectedSolver(g, model)
+        for a in range(1 << g.n):
+            ctx = TwoSetContext(g, a, Variant.CRDF)
+            if not ctx.valid():
+                continue
+            sets += 1
+            digest.update(f"{seed} {a}\n".encode())
+            got = 0
+            for f in solver.stream(a):
+                digest.update(format_function(f).encode() + b"\n")
+                got += 1
+                window_route += (pos_mask(f) & ~ctx.pos0).bit_count() >= 4
+            outputs += got
+            empty += not got
+    assert (sets, empty, outputs, window_route) == (4046, 2900, 2309, 205)
+    assert digest.hexdigest() == EVERY_SET_PINNED
 
 
 def test_dead_subtrees_are_walked_once():

@@ -12,7 +12,6 @@ from romanenum.graphs import (
     bit,
     bits,
     closed_neighborhood,
-    component_neighborhood,
     format_graph,
     format_intervals,
     format_vertex_set,
@@ -31,6 +30,7 @@ from romanenum.graphs import (
 from romanenum.families import complete_graph, cycle_graph, path_graph
 
 from reference import (
+    component_neighborhood,
     has_universal_vertex,
     is_clique,
     validate_cobipartite,
