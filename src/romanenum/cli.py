@@ -9,21 +9,23 @@ Subcommands:
   gadget      build a reduction instance (graph + labels + 2-set/function)
   gen         write a generated instance from a named family
 
-Exit codes: 0 success (or nonempty result), 1 input/parse/cap trouble,
-2 unsupported variant/graph-class combination, 3 empty result where
-emptiness is the answer.  Function streams are flushed line by line;
+Exit codes: 0 success (or nonempty result), 1 input/parse/cap trouble or a
+closed stdout, 2 unsupported variant/graph-class combination, 3 empty result
+where emptiness is the answer.  Function streams are flushed line by line;
 --stats appends '# key=value' lines after the stream.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import closing, contextmanager
 from typing import Optional, Sequence
 
 from .engine import EnumerationStats, iter_minimal
-from .fixed_two import solver_for
+from .fixed_two import ROUTES, solver_for
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -48,34 +50,41 @@ from .roman import (
 OK, ERR_INPUT, ERR_UNSUPPORTED, ERR_EMPTY = 0, 1, 2, 3
 
 
-def _read_text(path: str) -> str:
+def _read(path: Optional[str], missing: str) -> str:
+    """The text of the file at path; `missing` says why one is needed."""
+    if path is None:
+        raise GraphFormatError(missing)
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
 def _load_graph(ns: argparse.Namespace) -> Graph:
-    if ns.graph is None:
-        raise GraphFormatError("no graph file given")
-    return parse_graph(_read_text(ns.graph))
+    return parse_graph(_read(ns.graph, "no graph file given"))
 
 
-def _load_model(ns: argparse.Namespace):
-    if ns.intervals is None:
-        return None
-    return parse_intervals(_read_text(ns.intervals))
+def _write_line(fh, text: str) -> None:
+    print(text, file=fh, flush=True)
 
 
-class _Out:
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self.fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+@contextmanager
+def _output(path: Optional[str]):
+    """Yield the line writer for the file at path, or for stdout."""
+    fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+    try:
+        yield lambda text: _write_line(fh, text)
+    finally:
+        if path:
+            fh.close()
 
-    def line(self, text: str) -> None:
-        print(text, file=self.fh, flush=True)
 
-    def close(self) -> None:
-        if self.path:
-            self.fh.close()
+def _save(prefix: str, files) -> None:
+    """Write each (suffix, text) with a text to PREFIX.suffix, and name the
+    graph file."""
+    for suffix, text in files:
+        if text is not None:
+            with _output(f"{prefix}.{suffix}") as write:
+                write(text)
+    print(f"wrote {prefix}.graph")
 
 
 def _function_line(f, fmt: str) -> str:
@@ -94,87 +103,69 @@ def _function_line(f, fmt: str) -> str:
     return format_function(f)
 
 
-def _emit_stats(out: _Out, st: EnumerationStats) -> None:
-    for key, value in st.as_dict().items():
-        out.line(f"# {key}={value}")
-
-
 def _make_solver(ns: argparse.Namespace, g: Graph):
-    return solver_for(g, ns.variant, model=_load_model(ns), class_hint=ns.class_hint)
+    model = None if ns.intervals is None else parse_intervals(_read(ns.intervals, "no interval file"))
+    return solver_for(g, ns.variant, model=model, class_hint=ns.class_hint)
 
 
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     g = _load_graph(ns)
     solver = _make_solver(ns, g)
-    out = _Out(ns.output)
-    try:
+    with _output(ns.output) as write:
         st = EnumerationStats()
-        stream = iter_minimal(g, ns.variant, solver, stats=st)
-        count = 0
-        for _a, f in stream:
-            out.line(_function_line(f, ns.fmt))
-            count += 1
-            if ns.limit and count >= ns.limit:
-                break
-        stream.close()
+        with closing(iter_minimal(g, ns.variant, solver, stats=st)) as stream:
+            for count, (_a, f) in enumerate(stream, start=1):
+                write(_function_line(f, ns.fmt))
+                if count == ns.limit:
+                    break
         if ns.stats:
-            _emit_stats(out, st)
-        return OK
-    finally:
-        out.close()
+            for key, value in st.as_dict().items():
+                write(f"# {key}={value}")
+    return OK
 
 
 def cmd_fixed_two(ns: argparse.Namespace) -> int:
     g = _load_graph(ns)
     a = parse_vertex_set(ns.two_set, g.n)
     solver = _make_solver(ns, g)
-    out = _Out(ns.output)
-    try:
+    with _output(ns.output) as write:
         # seconds is the solver's own time, as in enumerate: only its
         # stream steps are timed, not the writes
         clock = time.perf_counter
         seconds = 0.0
         count = 0
-        stream = solver.stream(a)
-        while True:
-            start = clock()
-            f = next(stream, None)
-            seconds += clock() - start
-            if f is None:
-                break
-            out.line(_function_line(f, ns.fmt))
-            count += 1
-            if ns.limit and count >= ns.limit:
-                break
-        stream.close()
+        with closing(solver.stream(a)) as stream:
+            while True:
+                start = clock()
+                f = next(stream, None)
+                seconds += clock() - start
+                if f is None:
+                    break
+                write(_function_line(f, ns.fmt))
+                count += 1
+                if count == ns.limit:
+                    break
         if ns.stats:
-            out.line(f"# outputs={count}")
-            out.line(f"# seconds={round(seconds, 6)}")
-        return OK if count else ERR_EMPTY
-    finally:
-        out.close()
+            write(f"# outputs={count}")
+            write(f"# seconds={round(seconds, 6)}")
+    return OK if count else ERR_EMPTY
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
     from .oracle import oracle_all_minimal, oracle_fixed_two
 
     g = _load_graph(ns)
-    out = _Out(ns.output)
-    try:
+    with _output(ns.output) as write:
         if ns.two_set is not None:
             a = parse_vertex_set(ns.two_set, g.n)
             fns = sorted(oracle_fixed_two(g, ns.variant, a, cap=ns.cap))
         else:
             fns = sorted(oracle_all_minimal(g, ns.variant, cap=ns.cap))
         for f in fns:
-            out.line(_function_line(f, ns.fmt))
+            write(_function_line(f, ns.fmt))
         if ns.stats:
-            out.line(f"# outputs={len(fns)}")
-        if ns.two_set is not None and not fns:
-            return ERR_EMPTY
-        return OK
-    finally:
-        out.close()
+            write(f"# outputs={len(fns)}")
+    return ERR_EMPTY if ns.two_set is not None and not fns else OK
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
@@ -185,134 +176,108 @@ def cmd_check(ns: argparse.Namespace) -> int:
             f"function has {len(f)} digits, graph has {g.n} vertices"
         )
     verdict, lines = minimality_report(g, f, ns.variant)
-    out = _Out(ns.output)
-    try:
+    with _output(ns.output) as write:
         for line in lines:
-            out.line(line)
-        return OK if verdict else ERR_EMPTY
-    finally:
-        out.close()
+            write(line)
+    return OK if verdict else ERR_EMPTY
+
+
+def _cnf(ns: argparse.Namespace):
+    from .oracle import parse_dimacs
+
+    return parse_dimacs(_read(ns.cnf, "sat gadgets need --cnf FILE"))
+
+
+def _extension(gadgets, ns: argparse.Namespace):
+    g = _load_graph(ns)
+    return gadgets.gadget_maxrd_from_extds(g, parse_vertex_set(ns.set or "", g.n))
+
+
+def _split(gadgets, ns: argparse.Namespace):
+    from .oracle import parse_hypergraph
+
+    text = _read(ns.hypergraph, "split gadget needs --hypergraph FILE")
+    return gadgets.gadget_split_from_hypergraph(parse_hypergraph(text))
+
+
+# gadget --kind: name -> builder(romanenum.gadgets, arguments) of its instance
+_GADGETS = {
+    "crdf-sat": lambda gadgets, ns: gadgets.gadget_crdf_from_sat(_cnf(ns), strict=ns.strict),
+    "trdf-sat": lambda gadgets, ns: gadgets.gadget_trdf_from_sat(_cnf(ns), strict=ns.strict),
+    "mrdf-extension": _extension,
+    "split-transversal": _split,
+}
 
 
 def cmd_gadget(ns: argparse.Namespace) -> int:
-    from .gadgets import (
-        gadget_crdf_from_sat,
-        gadget_maxrd_from_extds,
-        gadget_split_from_hypergraph,
-        gadget_trdf_from_sat,
-    )
-    from .oracle import parse_dimacs, parse_hypergraph
+    from . import gadgets
 
-    kind = ns.kind
-    if kind in ("crdf-sat", "trdf-sat"):
-        if ns.cnf is None:
-            raise GraphFormatError("sat gadgets need --cnf FILE")
-        cnf = parse_dimacs(_read_text(ns.cnf))
-        build = gadget_crdf_from_sat if kind == "crdf-sat" else gadget_trdf_from_sat
-        inst = build(cnf, strict=ns.strict)
-    elif kind == "mrdf-extension":
-        g = _load_graph(ns)
-        u = parse_vertex_set(ns.set or "", g.n)
-        inst = gadget_maxrd_from_extds(g, u)
-    elif kind == "split-transversal":
-        if ns.hypergraph is None:
-            raise GraphFormatError("split gadget needs --hypergraph FILE")
-        h = parse_hypergraph(_read_text(ns.hypergraph))
-        inst = gadget_split_from_hypergraph(h)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphFormatError(f"unknown gadget kind {kind}")
-
-    prefix = ns.out
-    graph_text = format_graph(inst.graph)
+    inst = _GADGETS[ns.kind](gadgets, ns)
+    graph_text = format_graph(inst.graph).rstrip("\n")
     label_lines = [f"{v} {name}" for v, name in enumerate(inst.labels)]
-    if prefix:
-        with open(f"{prefix}.graph", "w", encoding="utf-8") as fh:
-            fh.write(graph_text)
-        with open(f"{prefix}.labels", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(label_lines) + "\n")
-        if inst.fixed_two is not None:
-            with open(f"{prefix}.two_set", "w", encoding="utf-8") as fh:
-                fh.write(format_vertex_set(inst.fixed_two) + "\n")
-        else:
-            with open(f"{prefix}.prefunction", "w", encoding="utf-8") as fh:
-                fh.write(format_function(inst.prefunction) + "\n")
-        print(f"wrote {prefix}.graph")
+    if inst.fixed_two is not None:
+        query = "two_set", format_vertex_set(inst.fixed_two)
+    else:
+        query = "prefunction", format_function(inst.prefunction)
+    if ns.out:
+        _save(ns.out, [("graph", graph_text), ("labels", "\n".join(label_lines)), query])
         return OK
-    out = _Out(ns.output)
-    try:
-        out.line(graph_text.rstrip("\n"))
-        out.line("# labels")
+    with _output(ns.output) as write:
+        write(graph_text)
+        write("# labels")
         for line in label_lines:
-            out.line("# " + line)
-        if inst.fixed_two is not None:
-            out.line(f"# two_set={format_vertex_set(inst.fixed_two)}")
-        else:
-            out.line(f"# prefunction={format_function(inst.prefunction)}")
-        return OK
-    finally:
-        out.close()
+            write("# " + line)
+        write("# {}={}".format(*query))
+    return OK
 
 
-def _family_instance(family: str, n: int, p: float, seed: int):
-    """Returns (graph, model-or-None, partition-or-None, distinguished-set-or-None)."""
+def _cobipartite(families, n: int, p: float, rng):
+    g, part = families.random_cobipartite(n, p, rng)
+    return g, None, None, part
+
+
+# gen --family: name -> builder(romanenum.families, n, p, rng) of its graph,
+# or of (graph, interval model, distinguished 2-set, cobipartite partition)
+# with None for what the family does not have
+_FAMILIES = {
+    "path": lambda families, n, p, rng: families.path_graph(n),
+    "cycle": lambda families, n, p, rng: families.cycle_graph(n),
+    "complete": lambda families, n, p, rng: families.complete_graph(n),
+    "random": lambda families, n, p, rng: families.random_graph(n, p, rng),
+    "connected-random": lambda families, n, p, rng: families.random_connected_graph(n, p, rng),
+    "cobipartite-random": _cobipartite,
+    "interval-random": lambda families, n, p, rng: (
+        *families.random_interval_instance(n, rng), None, None),
+    "split-random": lambda families, n, p, rng: families.random_split_graph(n, p, rng),
+    "gn": lambda families, n, p, rng: (*families.double_link_chain(n), None),
+}
+
+
+def cmd_gen(ns: argparse.Namespace) -> int:
     import random
 
     from . import families
 
-    rng = random.Random(seed)
-    if family == "path":
-        return families.path_graph(n), None, None, None
-    if family == "cycle":
-        return families.cycle_graph(n), None, None, None
-    if family == "complete":
-        return families.complete_graph(n), None, None, None
-    if family == "random":
-        return families.random_graph(n, p, rng), None, None, None
-    if family == "connected-random":
-        return families.random_connected_graph(n, p, rng), None, None, None
-    if family == "cobipartite-random":
-        g, part = families.random_cobipartite(n, p, rng)
-        return g, None, part, None
-    if family == "interval-random":
-        g, model = families.random_interval_instance(n, rng)
-        return g, model, None, None
-    if family == "split-random":
-        return families.random_split_graph(n, p, rng), None, None, None
-    if family == "gn":
-        g, model, a = families.double_link_chain(n)
-        return g, model, None, a
-    raise GraphFormatError(f"unknown family {family}")
-
-
-def cmd_gen(ns: argparse.Namespace) -> int:
-    family = ns.family
-    n = ns.n
-    g, model, part, dset = _family_instance(family, n, ns.p, ns.seed)
-    prefix = ns.out
-    if prefix:
-        with open(f"{prefix}.graph", "w", encoding="utf-8") as fh:
-            fh.write(format_graph(g))
-        if model is not None:
-            with open(f"{prefix}.intervals", "w", encoding="utf-8") as fh:
-                fh.write(format_intervals(model))
-        print(f"wrote {prefix}.graph")
+    if not 0 <= ns.p <= 1:
+        raise ValueError(f"--p {ns.p} is not a probability in [0, 1]")
+    made = _FAMILIES[ns.family](families, ns.n, ns.p, random.Random(ns.seed))
+    g, model, dset, part = (made, None, None, None) if isinstance(made, Graph) else made
+    graph_text = format_graph(g).rstrip("\n")
+    model_text = None if model is None else format_intervals(model).rstrip("\n")
+    if ns.out:
+        _save(ns.out, [("graph", graph_text), ("intervals", model_text)])
         return OK
-    out = _Out(ns.output)
-    try:
-        out.line(f"# family={family} n={n} seed={ns.seed}")
+    with _output(ns.output) as write:
+        write(f"# family={ns.family} n={ns.n} seed={ns.seed}")
         if part is not None:
-            out.line(
-                f"# cobipartite: {format_vertex_set(part.c1)} | {format_vertex_set(part.c2)}"
-            )
+            write(f"# cobipartite: {format_vertex_set(part.c1)} | {format_vertex_set(part.c2)}")
         if dset is not None:
-            out.line(f"# two_set={format_vertex_set(dset)}")
-        out.line(format_graph(g).rstrip("\n"))
+            write(f"# two_set={format_vertex_set(dset)}")
+        write(graph_text)
         if model is not None:
-            out.line("# intervals")
-            out.line(format_intervals(model).rstrip("\n"))
-        return OK
-    finally:
-        out.close()
+            write("# intervals")
+            write(model_text)
+    return OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,20 +294,23 @@ def _build_parser() -> argparse.ArgumentParser:
         if streams:  # check prints a report, not functions
             p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
 
-    p = sub.add_parser("enumerate", help="stream all minimal functions of a variant")
-    common(p)
-    p.add_argument("--class", dest="class_hint", choices=("auto", "general", "cobipartite", "interval"), default="auto")
-    p.add_argument("--intervals", help="interval file (needed for --class interval)")
-    p.add_argument("--limit", type=int, default=0, help="stop after this many functions")
-    p.add_argument("--stats", action="store_true", help="append '# key=value' lines")
-
-    p = sub.add_parser("fixed-two", help="stream the completions of one 2-set")
-    common(p)
-    p.add_argument("--class", dest="class_hint", choices=("auto", "general", "cobipartite", "interval"), default="auto")
-    p.add_argument("--intervals")
-    p.add_argument("--two-set", required=True, help="comma-separated vertices, '' for the empty set")
-    p.add_argument("--limit", type=int, default=0)
-    p.add_argument("--stats", action="store_true")
+    classes = ("auto", *dict.fromkeys(graph_class for graph_class, _, _ in ROUTES))
+    # enumerate and fixed-two share --class, --intervals, --limit and --stats;
+    # only enumerate's help describes them, and fixed-two's --two-set sits
+    # among them
+    for name, blurb in (
+        ("enumerate", "stream all minimal functions of a variant"),
+        ("fixed-two", "stream the completions of one 2-set"),
+    ):
+        described = name == "enumerate"
+        p = sub.add_parser(name, help=blurb)
+        common(p)
+        p.add_argument("--class", dest="class_hint", choices=classes, default="auto")
+        p.add_argument("--intervals", help="interval file (needed for --class interval)" if described else None)
+        if not described:
+            p.add_argument("--two-set", required=True, help="comma-separated vertices, '' for the empty set")
+        p.add_argument("--limit", type=int, default=0, help="stop after this many functions" if described else None)
+        p.add_argument("--stats", action="store_true", help="append '# key=value' lines" if described else None)
 
     p = sub.add_parser("oracle", help="exhaustive reference answers (small graphs)")
     common(p, variants=("rdf", "mrdf", "trdf", "crdf", "prdf"))
@@ -355,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True, help="digit string, e.g. 2002")
 
     p = sub.add_parser("gadget", help="build a reduction instance")
-    p.add_argument("--kind", required=True, choices=("crdf-sat", "trdf-sat", "mrdf-extension", "split-transversal"))
+    p.add_argument("--kind", required=True, choices=tuple(_GADGETS))
     p.add_argument("--cnf", help="DIMACS file for the sat kinds")
     p.add_argument("--graph", help="graph file for mrdf-extension")
     p.add_argument("--set", help="vertex set U for mrdf-extension")
@@ -365,9 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write stdout form here instead")
 
     p = sub.add_parser("gen", help="generate an instance from a named family")
-    p.add_argument("--family", required=True, choices=(
-        "path", "cycle", "complete", "random", "connected-random",
-        "cobipartite-random", "interval-random", "split-random", "gn"))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5, help="edge probability for random families")
     p.add_argument("--seed", type=int, default=0)
@@ -395,6 +361,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(ns, "limit", 0) < 0:
             raise ValueError("--limit must not be negative")
         return _COMMANDS[ns.command](ns)
+    except BrokenPipeError:
+        # the reader closed the output, as a --limit would stop it; stdout
+        # goes to os.devnull so that the flush at exit has nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return ERR_INPUT
     except UnsupportedRoute as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_UNSUPPORTED

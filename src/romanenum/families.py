@@ -57,6 +57,8 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Random graph conditioned on connectivity (resampled until connected)."""
+    if p <= 0 and n >= 2:
+        raise ValueError(f"no graph on {n} vertices with edge probability {p} is connected")
     while True:
         g = random_graph(n, p, rng)
         if is_connected(g):

@@ -467,51 +467,47 @@ class IntervalConnectedSolver(FixedTwoSolver):
                         yield from walk((x, y, z))
 
 
+def _interval_solver(g: Graph, variant: Variant, model: Optional[IntervalModel]):
+    if model is None:
+        raise UnsupportedRoute("interval routing needs an interval model")
+    return IntervalConnectedSolver(g, model)
+
+
+# The routes: (graph class, variants, constructor(g, variant, model)), in
+# the order the auto class tries them.
+ROUTES = (
+    ("general", (Variant.RDF,), lambda g, variant, model: RdfSolver(g)),
+    ("general", (Variant.MRDF,), lambda g, variant, model: MrdfSolver(g)),
+    ("cobipartite", (Variant.TRDF, Variant.CRDF),
+     lambda g, variant, model: CobipartiteSolver(g, variant)),
+    ("interval", (Variant.CRDF,), _interval_solver),
+)
+
+
 def solver_for(
     g: Graph,
     variant: Variant,
     model: Optional[IntervalModel] = None,
     class_hint: str = "auto",
 ) -> FixedTwoSolver:
-    """Pick the solver for a (variant, graph class) combination.
+    """The solver of the first route in ROUTES for the variant and class.
 
-    auto routing: rdf/mrdf run on any graph; trdf tries the cobipartite
-    recognizer; crdf tries cobipartite first, then interval when a model is
-    supplied.  Raises UnsupportedRoute when nothing applies (for the
-    connected/total variants on general graphs even deciding non-emptiness
-    of a completion set is NP-complete).
+    A named class tries its one route and passes on its refusal.  The auto
+    class tries each route of the variant in turn, and raises
+    UnsupportedRoute with every route's reason when none applies.  trdf and
+    crdf have no general-graph route: there even deciding non-emptiness of
+    a completion set is NP-complete.
     """
-    if variant is Variant.RDF:
-        if class_hint not in ("auto", "general"):
-            raise UnsupportedRoute(f"rdf solver is general-graph; got class {class_hint}")
-        return RdfSolver(g)
-    if variant is Variant.MRDF:
-        if class_hint not in ("auto", "general"):
-            raise UnsupportedRoute(f"mrdf solver is general-graph; got class {class_hint}")
-        return MrdfSolver(g)
-    if variant is Variant.TRDF:
-        if class_hint not in ("auto", "cobipartite"):
-            raise UnsupportedRoute(
-                "trdf enumeration is implemented for cobipartite graphs only"
-            )
-        return CobipartiteSolver(g, variant)
-    if variant is Variant.CRDF:
-        if class_hint == "cobipartite":
-            return CobipartiteSolver(g, variant)
-        if class_hint == "interval":
-            if model is None:
-                raise UnsupportedRoute("interval routing needs an interval model")
-            return IntervalConnectedSolver(g, model)
-        if class_hint == "auto":
+    why = []
+    for graph_class, variants, build in ROUTES:
+        if variant in variants and class_hint in ("auto", graph_class):
             try:
-                return CobipartiteSolver(g, variant)
-            except UnsupportedRoute:  # not cobipartite
-                pass
-            if model is not None:
-                return IntervalConnectedSolver(g, model)
-            raise UnsupportedRoute(
-                "crdf enumeration needs a cobipartite graph or an interval model; "
-                "on general graphs even non-emptiness is NP-complete"
-            )
-        raise UnsupportedRoute(f"no crdf solver for class {class_hint}")
-    raise UnsupportedRoute(f"no enumeration solver for variant {variant.value}")
+                return build(g, variant, model)
+            except UnsupportedRoute as exc:
+                if class_hint != "auto":
+                    raise
+                why.append(str(exc))
+    why = why or [f"no route for class {class_hint}"]
+    if variant in (Variant.TRDF, Variant.CRDF):
+        why.append("on general graphs even non-emptiness is NP-complete")
+    raise UnsupportedRoute(f"no {variant.value} solver: " + "; ".join(why))

@@ -265,44 +265,47 @@ def intersection_graph(m: IntervalModel) -> Graph:
 # ---------------------------------------------------------------- text format
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+def read_counted(text: str, kind: str, header: str, noun: str, layout: Optional[str]):
+    """Read a counted text file into (header, records), tuples of integers.
+
+    `#` starts a comment, and blank lines are skipped.  The first line is the
+    header, laid out as `header` (e.g. "n m"); its last field counts the
+    records.  Each later line is one record, laid out as `layout` (e.g.
+    "u v"), or any number of integers when `layout` is None.  A malformed
+    line is refused with its number.
+    """
+    head, records = None, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        want = header if head is None else layout
+        try:
+            values = tuple(map(int, fields))
+        except ValueError:
+            values = None
+        if values is None or want is not None and len(values) != len(want.split()):
+            what = "header" if head is None else f"{noun} line"
+            shape = f"'{want}'" if want else "integers"
+            raise GraphFormatError(f"line {lineno}: {what} must be {shape}")
+        if head is None:
+            head = values
+        else:
+            records.append(values)
+    if head is None:
+        raise GraphFormatError(f"empty {kind} file")
+    if len(records) != head[-1]:
+        raise GraphFormatError(f"expected {head[-1]} {noun}s, found {len(records)}")
+    return head, records
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the plain text graph format: a header "n m" then m lines "u v".
 
-    Comment lines starting with '#' and blank lines are ignored.  Vertices
-    are 0-based.  Duplicate edges, self-loops, and count mismatches are
-    rejected.
+    Vertices are 0-based.  Duplicate edges, self-loops, and count mismatches
+    are rejected.
     """
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty graph file") from None
-    fields = header.split()
-    if len(fields) != 2:
-        raise GraphFormatError(f"line {lineno}: header must be 'n m'")
-    try:
-        n, m = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: header must be two integers") from None
-    edges = []
-    for lineno, line in lines:
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphFormatError(f"line {lineno}: edge line must be 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: edge line must be two integers") from None
-        edges.append((u, v))
-    if len(edges) != m:
-        raise GraphFormatError(f"expected {m} edges, found {len(edges)}")
+    (n, _), edges = read_counted(text, "graph", "n m", "edge", "u v")
     try:
         return Graph(n, edges)
     except ValueError as exc:
@@ -317,27 +320,7 @@ def format_graph(g: Graph) -> str:
 
 def parse_intervals(text: str) -> IntervalModel:
     """Parse the interval file format: a count line "n" then n lines "lo hi"."""
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty interval file") from None
-    try:
-        n = int(header)
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: count line must be one integer") from None
-    intervals = []
-    for lineno, line in lines:
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphFormatError(f"line {lineno}: interval line must be 'lo hi'")
-        try:
-            lo, hi = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: endpoints must be integers") from None
-        intervals.append((lo, hi))
-    if len(intervals) != n:
-        raise GraphFormatError(f"expected {n} intervals, found {len(intervals)}")
+    _, intervals = read_counted(text, "interval", "n", "interval", "lo hi")
     try:
         return IntervalModel(tuple(intervals))
     except ValueError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphFormatError, _data_lines
+from .graphs import Graph, GraphFormatError, mask_of, read_counted
 from .roman import Variant, two_mask
 
 DEFAULT_CAP = 10
@@ -194,26 +194,11 @@ class Hypergraph:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Text format: header "n m", then m lines listing each edge's members."""
-    rows = list(_data_lines(text))
-    if not rows:
-        raise GraphFormatError("empty hypergraph file")
-    lineno, header = rows[0]
-    try:
-        n, m = (int(x) for x in header.split())
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: header must be two integers 'n m'") from None
-    if len(rows) - 1 != m:
-        raise GraphFormatError(f"expected {m} edges, found {len(rows) - 1}")
-    edges = []
-    for lineno, line in rows[1:]:
-        try:
-            members = [int(x) for x in line.split()]
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: edge members must be integers") from None
-        if any(not 0 <= v < n for v in members):
-            raise GraphFormatError(f"edge member out of range: {line}")
-        edges.append(sum(1 << v for v in set(members)))
-    return Hypergraph(n, tuple(edges))
+    (n, _), edges = read_counted(text, "hypergraph", "n m", "edge", None)
+    for members in edges:
+        if any(not 0 <= v < n for v in members):  # a negative v must not reach 1 << v
+            raise GraphFormatError(f"edge member out of range: {' '.join(map(str, members))}")
+    return Hypergraph(n, tuple(mask_of(members) for members in edges))
 
 
 # ------------------------------------------------------------------- SAT

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import romanenum.cli as cli
+import romanenum.families as families
 from romanenum.cli import main
 from romanenum.families import path_graph
 from romanenum.fixed_two import MrdfSolver
@@ -278,13 +279,13 @@ def test_fixed_two_seconds_leave_out_the_writes(capsys, monkeypatch, tmp_path):
     path.write_text(format_graph(path_graph(6)))
     pause = 0.02
     events = []
-    write, stream = cli._Out.line, MrdfSolver.stream
+    write, stream = cli._write_line, MrdfSolver.stream
 
-    def slow(self, text):
+    def slow(fh, text):
         if not text.startswith("#"):
             time.sleep(pause)
         events.append(text)
-        write(self, text)
+        write(fh, text)
 
     def watched(self, a):
         try:
@@ -292,7 +293,7 @@ def test_fixed_two_seconds_leave_out_the_writes(capsys, monkeypatch, tmp_path):
         finally:
             events.append("closed")
 
-    monkeypatch.setattr(cli._Out, "line", slow)
+    monkeypatch.setattr(cli, "_write_line", slow)
     monkeypatch.setattr(MrdfSolver, "stream", watched)
     argv = ["fixed-two", "--graph", str(path), "--variant", "mrdf", "--two-set", "1,4", "--stats"]
     code, out, _ = run(capsys, argv)
@@ -562,6 +563,81 @@ def test_gen_out_files_round_trip(capsys, tmp_path):
     g = parse_graph((tmp_path / "inst.graph").read_text())
     assert g.n == 6
     assert (tmp_path / "inst.intervals").read_text().splitlines()[0] == "6"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--family", "random", "--p", "2"], ["--family", "random", "--p", "-1"],
+             ["--family", "split-random", "--p", "7"], ["--family", "cobipartite-random", "--p", "-3"]]
+)
+def test_gen_refuses_a_p_outside_the_unit_interval(capsys, argv):
+    code, out, err = run(capsys, ["gen", "--n", "5", *argv])
+    assert code == 1
+    assert out == []
+    assert err.startswith("error: --p ")
+
+
+def test_gen_refuses_connected_random_that_can_never_connect(capsys, monkeypatch):
+    # with p = 0 no sample on two or more vertices is connected, so the
+    # resampling would never end: the family refuses before it samples
+    def sample(n, p, rng):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(families, "random_graph", sample)
+    code, out, err = run(capsys, ["gen", "--family", "connected-random", "--n", "5", "--p", "0"])
+    assert code == 1
+    assert out == []
+    assert err.startswith("error: ")
+
+
+CLOSED_STDOUT_SCRIPT = """
+import sys
+import romanenum.cli as cli
+
+engine = cli.iter_minimal
+
+
+def watched(*args, **kwargs):
+    try:
+        yield from engine(*args, **kwargs)
+    finally:
+        with open(sys.argv[1], "a") as fh:
+            fh.write("closed\\n")
+
+
+cli.iter_minimal = watched
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "a") as fh:
+    fh.write("returned\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["enumerate", "gen"])
+def test_a_closed_stdout_stops_the_command_quietly(tmp_path, command):
+    # the reader stops after one line, as `| head -1` does; each output is
+    # larger than a pipe's buffer, so the command is still writing then
+    (tmp_path / "p18.graph").write_text(format_graph(path_graph(18)))
+    argv = {
+        "enumerate": ["enumerate", "--graph", str(tmp_path / "p18.graph")],
+        "gen": ["gen", "--family", "complete", "--n", "400"],
+    }[command]
+    events = tmp_path / "events"
+    src = Path(__file__).resolve().parents[1] / "src"
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", CLOSED_STDOUT_SCRIPT, str(events), *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+    assert (tmp_path / "stderr").read_text() == ""
+    if command == "enumerate":  # the engine's stream is closed before main returns
+        assert events.read_text() == "closed\nreturned\n"
+    else:
+        assert events.read_text() == "returned\n"
 
 
 def test_gen_path_graph_text(capsys):

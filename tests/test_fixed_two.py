@@ -142,6 +142,20 @@ def test_routing_table():
         CobipartiteSolver(p5, Variant.TRDF)
 
 
+def test_auto_refusal_names_every_route_it_tried():
+    # the auto class tries the cobipartite and then the interval route for
+    # crdf; a named class passes on its one route's own refusal
+    with pytest.raises(UnsupportedRoute) as exc:
+        solver_for(path_graph(5), Variant.CRDF)
+    assert str(exc.value) == (
+        "no crdf solver: graph is not cobipartite; interval routing needs an interval "
+        "model; on general graphs even non-emptiness is NP-complete"
+    )
+    with pytest.raises(UnsupportedRoute) as exc:
+        solver_for(path_graph(5), Variant.CRDF, class_hint="interval")
+    assert str(exc.value) == "interval routing needs an interval model"
+
+
 # ------------------------------------------------- solver vs oracle, per route
 
 

@@ -27,7 +27,9 @@ from romanenum.graphs import (
     recognize_cobipartite,
     same_component,
 )
+from romanenum.cli import main
 from romanenum.families import complete_graph, cycle_graph, path_graph
+from romanenum.oracle import parse_hypergraph
 
 from reference import (
     component_neighborhood,
@@ -228,6 +230,54 @@ def test_graph_file_round_trip():
 def test_parse_graph_rejects(text):
     with pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+# each counted format: its parser, and the argv that reads a file of it
+# (given the file and a valid graph file)
+COUNTED = {
+    "graph": (parse_graph, lambda path, graph: ["enumerate", "--graph", path]),
+    "intervals": (
+        parse_intervals,
+        lambda path, graph: ["enumerate", "--graph", graph, "--variant", "crdf", "--intervals", path],
+    ),
+    "hypergraph": (
+        parse_hypergraph,
+        lambda path, graph: ["gadget", "--kind", "split-transversal", "--hypergraph", path],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text, refusal",
+    [
+        ("graph", "", "empty graph file"),
+        ("graph", "# only a comment\n\n", "empty graph file"),
+        ("graph", "3 1 0\n0 1\n", "line 1: header must be 'n m'"),
+        ("graph", "3 1\n0 x\n", "line 2: edge line must be 'u v'"),
+        ("graph", "3 1\n\n0 1 2  # one too many\n", "line 3: edge line must be 'u v'"),
+        ("graph", "3 2\n0 1\n", "expected 2 edges, found 1"),
+        ("intervals", "", "empty interval file"),
+        ("intervals", "2 2\n0 1\n1 2\n", "line 1: header must be 'n'"),
+        ("intervals", "2\n0 1\n1 y\n", "line 3: interval line must be 'lo hi'"),
+        ("intervals", "2\n0 1\n1\n", "line 3: interval line must be 'lo hi'"),
+        ("intervals", "3\n0 1\n", "expected 3 intervals, found 1"),
+        ("hypergraph", "", "empty hypergraph file"),
+        ("hypergraph", "3\n0 1\n", "line 1: header must be 'n m'"),
+        ("hypergraph", "3 1\n0 z\n", "line 2: edge line must be integers"),
+        ("hypergraph", "3 2\n0 1\n", "expected 2 edges, found 1"),
+    ],
+)
+def test_counted_files_refuse_malformed_text(kind, text, refusal, tmp_path, capsys):
+    # one reader refuses every counted format the same way, naming the line
+    # at fault; the command that reads the file exits 1 with no output
+    parse, argv = COUNTED[kind]
+    with pytest.raises(GraphFormatError) as exc:
+        parse(text)
+    assert str(exc.value) == refusal
+    (tmp_path / "input").write_text(text)
+    (tmp_path / "g.graph").write_text("2 1\n0 1\n")
+    assert main(argv(str(tmp_path / "input"), str(tmp_path / "g.graph"))) == 1
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
 
 def test_interval_file_round_trip():
