@@ -155,12 +155,14 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     from .oracle import oracle_all_minimal, oracle_fixed_two
 
     g = _load_graph(ns)
+    # the answer comes before the output file is opened, so a cap error
+    # leaves an existing file as it was
+    if ns.two_set is not None:
+        a = parse_vertex_set(ns.two_set, g.n)
+        fns = sorted(oracle_fixed_two(g, ns.variant, a, cap=ns.cap))
+    else:
+        fns = sorted(oracle_all_minimal(g, ns.variant, cap=ns.cap))
     with _output(ns.output) as write:
-        if ns.two_set is not None:
-            a = parse_vertex_set(ns.two_set, g.n)
-            fns = sorted(oracle_fixed_two(g, ns.variant, a, cap=ns.cap))
-        else:
-            fns = sorted(oracle_all_minimal(g, ns.variant, cap=ns.cap))
         for f in fns:
             write(_function_line(f, ns.fmt))
         if ns.stats:
@@ -296,21 +298,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     classes = ("auto", *dict.fromkeys(graph_class for graph_class, _, _ in ROUTES))
     # enumerate and fixed-two share --class, --intervals, --limit and --stats;
-    # only enumerate's help describes them, and fixed-two's --two-set sits
-    # among them
+    # fixed-two's --two-set sits among them
     for name, blurb in (
         ("enumerate", "stream all minimal functions of a variant"),
         ("fixed-two", "stream the completions of one 2-set"),
     ):
-        described = name == "enumerate"
         p = sub.add_parser(name, help=blurb)
         common(p)
         p.add_argument("--class", dest="class_hint", choices=classes, default="auto")
-        p.add_argument("--intervals", help="interval file (needed for --class interval)" if described else None)
-        if not described:
+        p.add_argument(
+            "--intervals",
+            help="interval model file: --class interval needs it, and the crdf auto route uses it",
+        )
+        if name == "fixed-two":
             p.add_argument("--two-set", required=True, help="comma-separated vertices, '' for the empty set")
-        p.add_argument("--limit", type=int, default=0, help="stop after this many functions" if described else None)
-        p.add_argument("--stats", action="store_true", help="append '# key=value' lines" if described else None)
+        p.add_argument("--limit", type=int, default=0, help="stop after this many functions")
+        p.add_argument("--stats", action="store_true", help="append '# key=value' lines")
 
     p = sub.add_parser("oracle", help="exhaustive reference answers (small graphs)")
     common(p, variants=("rdf", "mrdf", "trdf", "crdf", "prdf"))

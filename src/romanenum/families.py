@@ -55,14 +55,22 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+# draws random_connected_graph makes before it refuses
+CONNECT_ATTEMPTS = 1000
+
+
 def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """Random graph conditioned on connectivity (resampled until connected)."""
+    """Random graph conditioned on connectivity: resampled until connected,
+    refused with a ValueError after CONNECT_ATTEMPTS draws."""
     if p <= 0 and n >= 2:
         raise ValueError(f"no graph on {n} vertices with edge probability {p} is connected")
-    while True:
+    for _ in range(CONNECT_ATTEMPTS):
         g = random_graph(n, p, rng)
         if is_connected(g):
             return g
+    raise ValueError(
+        f"no connected graph in {CONNECT_ATTEMPTS} draws on {n} vertices with edge probability {p}"
+    )
 
 
 def random_cobipartite(n: int, p_cross: float, rng: random.Random) -> tuple[Graph, CobipartitePartition]:

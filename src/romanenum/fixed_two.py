@@ -202,7 +202,8 @@ class WindowTables:
     has at most one owner in A, and a window can take up every private
     candidate only of an owner of one of its members: the condition checks
     those owners, in O(window), through a table that maps each vertex to
-    its owner's private candidates.
+    its owner's private candidates (_kept, which the interval solver also
+    reads directly for its start and middle windows).
 
     The private-neighbor condition of the middle test is kept although no
     instance is known where dropping it changes an output: an exhaustive
@@ -232,8 +233,11 @@ class WindowTables:
         # private to, or a bit outside the graph if there is none
         kept = [g.full + 1] * g.n
         for candidates in ctx.private.values():
-            for u in bits(candidates):
-                kept[u] = candidates
+            rest = candidates
+            while rest:
+                low = rest & -rest
+                kept[low.bit_length() - 1] = candidates
+                rest ^= low
         self._kept = kept
 
     def _needing_both(self, root: int, u: int, v: int) -> int:
@@ -253,61 +257,76 @@ class WindowTables:
             return 0
         return border[k] & ~near & ~border[j]
 
-    def _keeps_private(self, *window: int) -> bool:
-        """ctx.private_ok on the window's mask, checking only the owners of
-        its members."""
-        kept = self._kept
-        taken = 0
-        for u in window:
-            taken |= 1 << u
-        for u in window:
-            if not kept[u] & ~taken:
-                return False
-        return True
-
     def start_mask(self, x: int, y: int) -> int:
         """Every z whose window (x, y, z) passes the start probes; the start
-        test is that bit and _keeps_private."""
+        test is that bit and the private-neighbor condition."""
         return self._needing_both(self.s, x, y)
 
-    def middle_mask(self, w: int, x: int, y: int) -> int:
-        """Every z whose window (w, x, y, z) passes the middle probes; the
-        middle test is that bit and _keeps_private."""
-        return self._needing_both(w, x, y)
+    # middle_mask(w, x, y): every z whose window (w, x, y, z) passes the
+    # middle probes, which root at w itself; the middle test is that bit and
+    # the private-neighbor condition
+    middle_mask = _needing_both
 
     def end_ok(self, x: int, y: int, z: int) -> bool:
-        return bool(self._needing_both(self.t, y, z) >> x & 1) and self._keeps_private(x, y, z)
+        if not self._needing_both(self.t, y, z) >> x & 1:
+            return False
+        # the private-neighbor condition: no member's owner has all its
+        # private candidates in the window
+        kept, window = self._kept, 1 << x | 1 << y | 1 << z
+        return bool(kept[x] & ~window and kept[y] & ~window and kept[z] & ~window)
 
 
-def fewest_connectors(model: IntervalModel, members, spare) -> Optional[int]:
+def fewest_connectors(model: IntervalModel, members: int, spare: int) -> int:
     """Fewest intervals from `spare` whose addition makes the union of the
-    intervals of `members` one interval; None when no choice of them does.
+    intervals of `members` one interval, counted up to 4: the result is 4
+    when that takes 4 or more of them, or cannot be done.  Below 4 the
+    interval solver scans the raised sets, so it needs no larger count.
 
-    Both lists hold vertices in interval order (left endpoint, then right).
-    A set of intervals induces a connected subgraph of the intersection
-    graph iff its union has no gap, so on a graph the model realises no
-    raised set smaller than this can make the members connected.  Greedy: at
-    each gap, take the spare interval that starts inside the covered prefix
-    and reaches furthest right.
+    The model lists its intervals in interval order (left endpoint, then
+    right), and both sets are masks of indices into it.  A set of intervals
+    induces a connected subgraph of the intersection graph iff its union has
+    no gap, so on a graph the model realises no raised set smaller than this
+    can make the members connected.  Greedy: at each gap, take the spare
+    interval that starts inside the covered prefix and reaches furthest
+    right.
     """
     iv = model.intervals
     if not members:
         return 0
-    reach = iv[members[0]][1]
-    furthest = reach
-    i = count = 0
-    for v in members[1:]:
-        lo, hi = iv[v]
+    low = members & -members
+    members ^= low
+    reach = furthest = iv[low.bit_length() - 1][1]
+    count = 0
+    while members:
+        low = members & -members
+        members ^= low
+        lo, hi = iv[low.bit_length() - 1]
         while lo > reach:
-            while i < len(spare) and iv[spare[i]][0] <= reach:
-                furthest = max(furthest, iv[spare[i]][1])
-                i += 1
-            if furthest <= reach:
-                return None
-            reach = furthest
+            while spare:
+                low = spare & -spare
+                spare_lo, spare_hi = iv[low.bit_length() - 1]
+                if spare_lo > reach:
+                    break
+                if spare_hi > furthest:
+                    furthest = spare_hi
+                spare ^= low
             count += 1
-        reach = max(reach, hi)
+            if furthest <= reach or count == 4:
+                return 4
+            reach = furthest
+        if hi > reach:
+            reach = hi
     return count
+
+
+def _relabel(mask: int, table) -> int:
+    """The OR of table[v] over the members v of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class IntervalConnectedSolver(FixedTwoSolver):
@@ -317,24 +336,28 @@ class IntervalConnectedSolver(FixedTwoSolver):
     ValueError, any other mismatch an UnsupportedRoute, because the gap bound
     and the window DAG read connectivity off the intervals.  The solver works
     on a copy of the graph labelled in interval order (left endpoint, right
-    endpoint, index): position p is input vertex order[p].  Per 2-set A, it
-    first counts the fewest 0-vertex intervals that close every gap in the
-    union of the canonical positive set's intervals (fewest_connectors);
-    raised sets below that size cannot be connected and are never tested.
-    Completion sets of size at most 3 are then scanned directly against the
-    2-set's TwoSetContext.  Larger ones are source-to-sink paths in a DAG
-    whose nodes are window-passing triples, walked once depth-first: a path
-    is output when it reaches a sink, and a node whose subtree gave no sink
-    is marked dead and never entered again, so each dead subtree is explored
-    once and the delay stays polynomial.  Successors and start nodes are read
-    off WindowTables masks in closed form, built from the components of the
-    positive set that one sweep in interval order finds (_components), so
-    no search runs per 2-set or per DAG node, and the start pairs tried are
-    only those with one member next to the first component, at most
-    |that neighborhood| times the spare vertices rather than every pair of
-    them.  Output masks are built in input labels as the walk
-    pushes each raised vertex, on an explicit stack, so the walk's depth is
-    not bounded by Python's recursion limit.
+    endpoint, index): position p is input vertex order[p].  Tables built
+    once map a vertex to its position's bit, a position to its vertex's bit
+    and a position to the component of the graph holding it, so every
+    per-2-set step loops over the low bits of masks.  Per 2-set A, the
+    canonical positive set must lie in one component of the graph, and the
+    solver counts, up to 4, the fewest 0-vertex intervals that close every
+    gap in the union of its intervals (fewest_connectors); raised sets below
+    that size cannot be connected and are never tested.  Completion sets of
+    size at most 3 are then scanned directly against the 2-set's
+    TwoSetContext.  Larger ones are source-to-sink paths in a DAG whose
+    nodes are window-passing triples, walked once depth-first: a path is
+    output when it reaches a sink, and a node whose subtree gave no sink is
+    marked dead and never entered again, so each dead subtree is explored
+    once and the delay stays polynomial.  Successors and start nodes are
+    read off WindowTables masks in closed form, built from the components
+    of the positive set that one sweep in interval order finds
+    (_components), so no search runs per 2-set or per DAG node, and the
+    start pairs tried are only those with one member next to the first
+    component, at most |that neighborhood| times the spare vertices rather
+    than every pair of them.  Output masks are built in input labels as the
+    walk pushes each raised vertex, on an explicit stack, so the walk's
+    depth is not bounded by Python's recursion limit.
     """
 
     variant = Variant.CRDF
@@ -345,7 +368,10 @@ class IntervalConnectedSolver(FixedTwoSolver):
             raise ValueError("interval model size does not match the graph")
         # a stable sort by interval keeps equal intervals in index order
         self.order = order = sorted(range(g.n), key=model.intervals.__getitem__)
-        self._position = {v: p for p, v in enumerate(order)}
+        self._input_bit = input_bit = [1 << v for v in order]
+        self._position_bit = position_bit = [0] * g.n
+        for p, v in enumerate(order):
+            position_bit[v] = 1 << p
         self._model = IntervalModel(tuple(model.intervals[v] for v in order))
         iv = self._model.intervals
         lefts = [lo for lo, _ in iv]
@@ -353,48 +379,58 @@ class IntervalConnectedSolver(FixedTwoSolver):
         # one sweep in interval order: an interval meets the earlier ones
         # still open at its left endpoint and the later ones that start
         # inside it, which hold consecutive positions; each edge of g is
-        # checked at its later end
+        # checked at its later end.  The components of g are runs of
+        # positions, and _run numbers them: one starts where no earlier
+        # interval is still open
         rows = []
+        self._run = run_of = []
         still_open = open_vertices = earlier = closed = 0
+        run = -1
         for p, (lo, hi) in enumerate(iv):
             while iv[by_right[closed]][1] < lo:
                 still_open ^= 1 << by_right[closed]
-                open_vertices ^= 1 << order[by_right[closed]]
+                open_vertices ^= input_bit[by_right[closed]]
                 closed += 1
             if g.adj[order[p]] & earlier != open_vertices:
                 raise UnsupportedRoute("interval model does not realize the graph")
+            run += not still_open
+            run_of.append(run)
             rows.append(still_open | (1 << bisect_right(lefts, hi)) - (2 << p))
             still_open |= 1 << p
-            open_vertices |= 1 << order[p]
-            earlier |= 1 << order[p]
+            open_vertices |= input_bit[p]
+            earlier |= input_bit[p]
         self._graph = Graph.from_rows(rows)
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
-        h, order = self._graph, self.order
-        ctx = TwoSetContext(h, mask_of(self._position[v] for v in bits(a)), self.variant)
+        h = self._graph
+        ctx = TwoSetContext(h, _relabel(a, self._position_bit), self.variant)
         if not ctx.valid():
             return
         pos0 = ctx.pos0
-        spare = h.full & ~pos0
-        members, universe = list(bits(pos0)), list(bits(spare))
-        fewest = fewest_connectors(self._model, members, universe)
-        if fewest is None:
+        # members in two components of the graph: no raised set joins them
+        if pos0 and self._run[(pos0 & -pos0).bit_length() - 1] != self._run[pos0.bit_length() - 1]:
             return
-        base = mask_of(order[p] for p in members)
-        for k in range(fewest, min(3, len(universe)) + 1):
-            for combo in combinations(universe, k):
-                if ctx.minimal(pos0 | mask_of(combo)):
-                    yield function_from_masks(h.n, a, base | mask_of(order[p] for p in combo))
-        if len(universe) >= 4:
-            # intervals that end last all meet, so any of them roots the
-            # same component
-            iv = self._model.intervals
-            t = max(members, key=lambda p: iv[p][1])
-            components = self._components(members)
-            tables = WindowTables(h, ctx, members[0], t, components)
+        spare = h.full & ~pos0
+        fewest = fewest_connectors(self._model, pos0, spare)
+        input_bit = self._input_bit
+        base = a | _relabel(pos0 & ~ctx.a, input_bit)
+        if fewest < 4:
+            universe = list(bits(spare))
+            for k in range(fewest, min(3, len(universe)) + 1):
+                for combo in combinations(universe, k):
+                    raised = mask_of(combo)
+                    if ctx.minimal(pos0 | raised):
+                        yield function_from_masks(h.n, a, base | _relabel(raised, input_bit))
+        if spare.bit_count() >= 4:
+            components = self._components(pos0)
+            # the intervals that end last lie in the last component, and any
+            # member of a component roots it
+            last = components[-1][0]
+            tables = WindowTables(h, ctx, (pos0 & -pos0).bit_length() - 1,
+                                  (last & -last).bit_length() - 1, components)
             yield from self._large_stream(a, base, spare, tables, components[0][1] & spare)
 
-    def _components(self, members) -> list:
+    def _components(self, members: int) -> list:
         """(K, N(K)) for each component K of G[members], left to right.
 
         Intervals of different components are disjoint, so in interval
@@ -402,41 +438,51 @@ class IntervalConnectedSolver(FixedTwoSolver):
         current run iff it is adjacent to the run: no later interval meets
         a run it starts after."""
         rows = self._graph.adj
-        runs: list = []
-        for p in members:
-            if runs and runs[-1][1] >> p & 1:
-                runs[-1][0] |= 1 << p
-                runs[-1][1] |= rows[p]
+        runs = []
+        component = nb = 0
+        while members:
+            low = members & -members
+            members ^= low
+            if nb & low:
+                component |= low
+                nb |= rows[low.bit_length() - 1]
             else:
-                runs.append([1 << p, rows[p]])
+                if component:
+                    runs.append((component, nb))
+                component, nb = low, rows[low.bit_length() - 1]
+        if component:
+            runs.append((component, nb))
         return runs
 
     def _large_stream(self, a, base, spare, tables, near) -> Iterator[RomanFunction]:
-        n, order = self._graph.n, self.order
+        n, order, input_bit = self._graph.n, self.order, self._input_bit
+        kept = tables._kept
         tested: dict = {}
         dead = set()
 
-        def later(mask, y):
-            # the 0-vertices of mask after position y, in interval order
-            return bits((mask & spare) >> (y + 1) << (y + 1))
-
         def expand(node):
-            # (is node a sink, its successors), worked out once per node
+            # (is node a sink, its successors), worked out once per node:
+            # the 0-vertices z after y in the middle mask whose window keeps
+            # a private candidate of each owner, as in WindowTables.end_ok
             w, x, y = node
-            after = [
-                (x, y, z)
-                for z in later(tables.middle_mask(w, x, y), y)
-                if tables._keeps_private(w, x, y, z)
-            ]
+            taken = 1 << w | 1 << x | 1 << y
+            after = []
+            later = tables.middle_mask(w, x, y) & spare & -(2 << y)
+            while later:
+                low = later & -later
+                later ^= low
+                z = low.bit_length() - 1
+                window = taken | low
+                if kept[w] & ~window and kept[x] & ~window and kept[y] & ~window and kept[z] & ~window:
+                    after.append((x, y, z))
             got = tested[node] = (tables.end_ok(w, x, y), after)
             return got
 
-        def walk(start):
+        def walk(start, raised):
             # every path from start to a sink, in successor order, output
             # when it reaches the sink and then extended further.  A frame
             # holds the successors still to try, the node, the raised set of
             # the path to it, and whether a sink lay at or below it
-            raised = base | mask_of(order[p] for p in start)
             stack = [[iter((tested.get(start) or expand(start))[1]), start, raised, False]]
             while stack:
                 top = stack[-1]
@@ -460,11 +506,28 @@ class IntervalConnectedSolver(FixedTwoSolver):
         # start nodes in lexicographic order: each pair's mask gives every
         # third member at once, and only a pair with exactly one member in
         # near, the 0-vertices next to s's component, has a nonzero mask
-        for x in bits(spare):
-            for y in later(spare & ~near if near >> x & 1 else near, x):
-                for z in later(tables.start_mask(x, y), y):
-                    if (x, y, z) not in dead and tables._keeps_private(x, y, z):
-                        yield from walk((x, y, z))
+        xs = spare
+        while xs:
+            low_x = xs & -xs
+            xs ^= low_x
+            x = low_x.bit_length() - 1
+            ys = (spare & ~near if near & low_x else near) & -(low_x << 1)
+            while ys:
+                low_y = ys & -ys
+                ys ^= low_y
+                y = low_y.bit_length() - 1
+                zs = tables.start_mask(x, y) & spare & -(low_y << 1)
+                while zs:
+                    low_z = zs & -zs
+                    zs ^= low_z
+                    z = low_z.bit_length() - 1
+                    window = low_x | low_y | low_z
+                    if (
+                        kept[x] & ~window and kept[y] & ~window and kept[z] & ~window
+                        and (x, y, z) not in dead
+                    ):
+                        raised = base | input_bit[x] | input_bit[y] | input_bit[z]
+                        yield from walk((x, y, z), raised)
 
 
 def _interval_solver(g: Graph, variant: Variant, model: Optional[IntervalModel]):

@@ -8,7 +8,9 @@ canonical_rdf) and the interval solver's window-DAG paths.  MrdfSolver,
 CobipartiteSolver and the interval scan of raised sets of at most three
 vertices filter their candidates with TwoSetContext.minimal itself, so there
 the check re-runs the solver's own filter, and only the oracle
-cross-checks grade them.
+cross-checks grade them.  The solver's own stream stays reachable as the
+wrapper's __wrapped__, for a test whose outputs are too large to re-check
+one by one.
 """
 
 import pytest
@@ -26,6 +28,7 @@ def checked(stream):
             assert is_minimal_variant(self.graph, f, self.variant), f
             yield f
 
+    verified.__wrapped__ = stream
     return verified
 
 

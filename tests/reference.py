@@ -28,6 +28,7 @@ from romanenum.graphs import (
     closed_neighborhood,
     intersection_graph,
     is_connected,
+    mask_of,
     open_neighborhood,
 )
 from romanenum.oracle import (
@@ -257,6 +258,14 @@ def components_by_search(g: Graph, s: int) -> list[tuple[int, int]]:
         found.append((component, nb))
         rest &= ~component
     return found
+
+
+def keeps_private(tables, window) -> bool:
+    """The windows' private-neighbor condition as the interval solver reads
+    it off the tables' owner table: no member of the window has an owner in
+    A whose private candidates all lie in the window."""
+    taken = mask_of(window)
+    return all(tables._kept[u] & ~taken for u in window)
 
 
 # ---------------------------------------------------------- graph classes

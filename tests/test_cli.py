@@ -362,6 +362,18 @@ def test_oracle_cap(capsys, tmp_path):
     assert out[-1].startswith("# outputs=")
 
 
+def test_oracle_cap_error_leaves_the_output_file_untouched(capsys, tmp_path):
+    # the cap refuses before the file is opened, so it is not truncated
+    big = tmp_path / "p11.graph"
+    big.write_text("11 10\n" + "".join(f"{i} {i+1}\n" for i in range(10)))
+    out_file = tmp_path / "out.txt"
+    out_file.write_text("kept\n")
+    code, out, err = run(capsys, ["oracle", "--graph", str(big), "--output", str(out_file)])
+    assert code == 1
+    assert "capped" in err
+    assert out_file.read_text() == "kept\n"
+
+
 # ------------------------------------------------------------------ check
 
 
@@ -587,6 +599,18 @@ def test_gen_refuses_connected_random_that_can_never_connect(capsys, monkeypatch
     assert code == 1
     assert out == []
     assert err.startswith("error: ")
+
+
+def test_gen_refuses_connected_random_it_cannot_draw(capsys):
+    # at p = 0.001 a graph on 40 vertices is almost never connected: the
+    # family stops resampling after a bounded number of draws and refuses
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["gen", "--family", "connected-random", "--n", "40", "--p", "0.001"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert out == []
+    assert err.startswith("error: no connected graph in ")
+    assert elapsed < 1.0, f"the refusal took {elapsed:.2f}s"
 
 
 CLOSED_STDOUT_SCRIPT = """

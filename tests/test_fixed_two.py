@@ -52,6 +52,7 @@ from romanenum.roman import (
     Variant,
     canonical_rdf,
     format_function,
+    is_minimal_variant,
     pos_mask,
     two_mask,
 )
@@ -59,6 +60,7 @@ from romanenum.roman import (
 from reference import (
     component_neighborhood,
     components_by_search,
+    keeps_private,
     path_interval_model,
     validate_interval_model,
 )
@@ -248,13 +250,20 @@ def test_interval_solver_matches_oracle_on_long_sparse_layouts():
 
 
 def test_fewest_connectors_matches_brute_force():
+    # random sets on random layouts, and the anchors of chains, which need
+    # one connector per gap: 0 to 5, past the count's cap of 4
     rng = random.Random(0x4569)
+    instances = []
     for _ in range(300):
         n = rng.randint(1, 8)
-        g, model = random_interval_instance(n, rng)
-        pos = rng.getrandbits(n)
-        members = sorted(bits(pos), key=lambda v: model.intervals[v])
-        spare = sorted(bits(g.full & ~pos), key=lambda v: model.intervals[v])
+        instances.append((*random_interval_instance(n, rng), rng.getrandbits(n)))
+    for anchors in range(1, 7):
+        g, model, _ = double_link_chain(anchors)
+        instances.append((g, model, mask_of(range(anchors))))
+    seen = set()
+    for g, model, pos in instances:
+        n = g.n
+        spare = list(bits(g.full & ~pos))
         fewest = next(
             (
                 k
@@ -263,7 +272,18 @@ def test_fewest_connectors_matches_brute_force():
             ),
             None,
         )
-        assert fewest_connectors(model, members, spare) == fewest, (model, pos)
+        # fewest_connectors reads the model in interval order, by position,
+        # and counts up to 4; the solver refuses a positive set in two
+        # components of the graph, which no choice connects, by its run table
+        solver = IntervalConnectedSolver(g, model)
+        ordered = IntervalModel(tuple(model.intervals[v] for v in solver.order))
+        members = mask_of(p for p, v in enumerate(solver.order) if pos >> v & 1)
+        got = fewest_connectors(ordered, members, (1 << n) - 1 & ~members)
+        assert got == (4 if fewest is None else min(fewest, 4)), (model, pos)
+        runs = {solver._run[p] for p in bits(members)}
+        assert (fewest is None) == (len(runs) > 1), (model, pos)
+        seen.add(fewest)
+    assert seen == {None, 0, 1, 2, 3, 4, 5}, seen
 
 
 def probe_start(g, ctx, tables, x, y, z):
@@ -322,7 +342,7 @@ def test_window_masks_match_the_connectivity_probes():
             t = max(bits(ctx.pos0), key=lambda v: iv[v][1])
             tables = WindowTables(g, ctx, s, t, components_by_search(g, ctx.pos0))
             for x, y, z in permutations(universe, 3):
-                start_ok = bool(tables.start_mask(x, y) >> z & 1) and tables._keeps_private(x, y, z)
+                start_ok = bool(tables.start_mask(x, y) >> z & 1) and keeps_private(tables, (x, y, z))
                 for got, probe in ((start_ok, probe_start), (tables.end_ok(x, y, z), probe_end)):
                     want = probe(g, ctx, tables, x, y, z)
                     assert got == want, (model, g.edges(), ctx.a, x, y, z)
@@ -330,7 +350,7 @@ def test_window_masks_match_the_connectivity_probes():
                     checked += 1
             for w, x, y, z in permutations(universe, 4):
                 want = probe_middle(g, ctx, w, x, y, z)
-                got = bool(tables.middle_mask(w, x, y) >> z & 1) and tables._keeps_private(w, x, y, z)
+                got = bool(tables.middle_mask(w, x, y) >> z & 1) and keeps_private(tables, (w, x, y, z))
                 assert got == want, (model, g.edges(), ctx.a, w, x, y, z)
                 passed[probe_middle] += want
                 checked += 1
@@ -381,7 +401,7 @@ def test_owner_indexed_private_test_matches_private_ok():
         for k in range(1, 5):
             for window in combinations(zeros, k):
                 want = ctx.private_ok(mask_of(window))
-                assert tables._keeps_private(*window) == want, (g.edges(), ctx.a, window)
+                assert keeps_private(tables, window) == want, (g.edges(), ctx.a, window)
                 seen[want] += 1
     assert min(seen[True], seen[False]) >= 500, seen
 
@@ -785,6 +805,31 @@ def test_interval_output_order_is_pinned_on_every_two_set():
             empty += not got
     assert (sets, empty, outputs, window_route) == (4046, 2900, 2309, 205)
     assert digest.hexdigest() == EVERY_SET_PINNED
+
+
+# recorded before the per-2-set set-up moved onto per-graph bit tables, so a
+# change of output order deep in a long chain fails here
+DEEP_CHAIN_PINNED = "d33495791fc4eb25149d198c53c30a63ae8b7d54252912840d5906d7d470287d"
+
+
+def test_deep_chain_output_order_is_pinned():
+    # the first 4,096 completions of a 300-anchor chain's 2-set: each raises
+    # one connector in each of the 299 gaps, so each is a 297-node path in
+    # the window DAG.  The suite's per-yield check costs about 80 ms per
+    # output on these 898 vertices, so the solver's own stream is read and
+    # only the first and last outputs are checked here
+    g, model, seed = double_link_chain(300)
+    solver = IntervalConnectedSolver(g, model)
+    digest = hashlib.sha256()
+    first = last = None
+    count = 0
+    for f in islice(IntervalConnectedSolver.stream.__wrapped__(solver, seed), 4096):
+        digest.update(format_function(f).encode() + b"\n")
+        first, last = first or f, f
+        count += 1
+    assert count == 4096 and digest.hexdigest() == DEEP_CHAIN_PINNED
+    for f in (first, last):
+        assert is_minimal_variant(g, f, Variant.CRDF) and two_mask(f) == seed
 
 
 def test_dead_subtrees_are_walked_once():
