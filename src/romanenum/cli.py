@@ -262,6 +262,8 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
     if not 0 <= ns.p <= 1:
         raise ValueError(f"--p {ns.p} is not a probability in [0, 1]")
+    if ns.n < 0:
+        raise ValueError(f"--n {ns.n} is not a vertex count")
     made = _FAMILIES[ns.family](families, ns.n, ns.p, random.Random(ns.seed))
     g, model, dset, part = (made, None, None, None) if isinstance(made, Graph) else made
     graph_text = format_graph(g).rstrip("\n")

@@ -15,8 +15,10 @@ nonempty subset), which is what makes pruning in the engine sound.
 
 The mrdf, trdf and crdf solvers build one roman.TwoSetContext per 2-set.
 It holds the canonical positive set, N(A) and the private candidates of
-each member of A, so each candidate is tested as a positive-set mask against
-constants of A; a tuple is built only for a candidate that passes.
+each member of A.  The mrdf and cobipartite solvers test each candidate with
+its minimality rule as a positive-set mask against constants of A, and a
+tuple is built only for a candidate that passes; the interval solver reads
+only the positive set and the private candidates off it.
 
 The interval solver's window tests are neighborhood masks in closed form.
 With B the canonical positive set, the component of a root r in G[B + X] is
@@ -27,11 +29,12 @@ a difference of ORs of per-vertex masks, decided with a few bit tests and no
 loop (see WindowTables).  The solver keeps the graph labelled in interval
 order, where each component of G[B] is a run of consecutive members of B,
 so one sweep over B finds the components and their neighborhoods, with no
-search.  A start triple needs exactly one of its first two members next to
-the first component, so only those pairs are tried.  The window DAG's nodes
-are positions and its successors come sorted, and the solver walks each
-source-to-sink path once, never entering a node again once the node's
-subtree gave no sink.
+search.  The same tables decide every size of raised set (see
+IntervalConnectedSolver).  A start triple needs exactly one of its first two
+members next to the first component, so only those pairs are tried.  The
+window DAG's nodes are positions and its successors come sorted, and the
+solver walks each source-to-sink path once, never entering a node again once
+the node's subtree gave no sink.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .graphs import (
     IntervalModel,
     bit,
     bits,
-    mask_of,
     recognize_cobipartite,
     same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
 )
@@ -160,7 +162,9 @@ class WindowTables:
     completes a to a minimal connected rdf exactly when, reading X in
     interval order (left endpoint, right endpoint, index),
 
-      - |X| <= 3: checked directly, or
+      - |X| <= 2: by the neighborhoods of the first and last components of
+        G[B] (see IntervalConnectedSolver),
+      - |X| = 3: X passes both the start test and the end test, or
       - |X| >= 4: the three smallest members pass the start test, the three
         largest pass the end test, and every four consecutive members pass
         the middle test.
@@ -203,7 +207,8 @@ class WindowTables:
     candidate only of an owner of one of its members: the condition checks
     those owners, in O(window), through a table that maps each vertex to
     its owner's private candidates (_kept, which the interval solver also
-    reads directly for its start and middle windows).
+    reads directly for its raised sets below four and its start and middle
+    windows).
 
     The private-neighbor condition of the middle test is kept although no
     instance is known where dropping it changes an output: an exhaustive
@@ -276,49 +281,6 @@ class WindowTables:
         return bool(kept[x] & ~window and kept[y] & ~window and kept[z] & ~window)
 
 
-def fewest_connectors(model: IntervalModel, members: int, spare: int) -> int:
-    """Fewest intervals from `spare` whose addition makes the union of the
-    intervals of `members` one interval, counted up to 4: the result is 4
-    when that takes 4 or more of them, or cannot be done.  Below 4 the
-    interval solver scans the raised sets, so it needs no larger count.
-
-    The model lists its intervals in interval order (left endpoint, then
-    right), and both sets are masks of indices into it.  A set of intervals
-    induces a connected subgraph of the intersection graph iff its union has
-    no gap, so on a graph the model realises no raised set smaller than this
-    can make the members connected.  Greedy: at each gap, take the spare
-    interval that starts inside the covered prefix and reaches furthest
-    right.
-    """
-    iv = model.intervals
-    if not members:
-        return 0
-    low = members & -members
-    members ^= low
-    reach = furthest = iv[low.bit_length() - 1][1]
-    count = 0
-    while members:
-        low = members & -members
-        members ^= low
-        lo, hi = iv[low.bit_length() - 1]
-        while lo > reach:
-            while spare:
-                low = spare & -spare
-                spare_lo, spare_hi = iv[low.bit_length() - 1]
-                if spare_lo > reach:
-                    break
-                if spare_hi > furthest:
-                    furthest = spare_hi
-                spare ^= low
-            count += 1
-            if furthest <= reach or count == 4:
-                return 4
-            reach = furthest
-        if hi > reach:
-            reach = hi
-    return count
-
-
 def _relabel(mask: int, table) -> int:
     """The OR of table[v] over the members v of mask."""
     out = 0
@@ -333,30 +295,38 @@ class IntervalConnectedSolver(FixedTwoSolver):
     """Connected completions on interval graphs with polynomial delay.
 
     The model must realize the graph: a model of the wrong size is a
-    ValueError, any other mismatch an UnsupportedRoute, because the gap bound
-    and the window DAG read connectivity off the intervals.  The solver works
-    on a copy of the graph labelled in interval order (left endpoint, right
-    endpoint, index): position p is input vertex order[p].  Tables built
-    once map a vertex to its position's bit, a position to its vertex's bit
-    and a position to the component of the graph holding it, so every
-    per-2-set step loops over the low bits of masks.  Per 2-set A, the
-    canonical positive set must lie in one component of the graph, and the
-    solver counts, up to 4, the fewest 0-vertex intervals that close every
-    gap in the union of its intervals (fewest_connectors); raised sets below
-    that size cannot be connected and are never tested.  Completion sets of
-    size at most 3 are then scanned directly against the 2-set's
-    TwoSetContext.  Larger ones are source-to-sink paths in a DAG whose
-    nodes are window-passing triples, walked once depth-first: a path is
-    output when it reaches a sink, and a node whose subtree gave no sink is
-    marked dead and never entered again, so each dead subtree is explored
-    once and the delay stays polynomial.  Successors and start nodes are
-    read off WindowTables masks in closed form, built from the components
-    of the positive set that one sweep in interval order finds
-    (_components), so no search runs per 2-set or per DAG node, and the
-    start pairs tried are only those with one member next to the first
-    component, at most |that neighborhood| times the spare vertices rather
-    than every pair of them.  Output masks are built in input labels as the
-    walk pushes each raised vertex, on an explicit stack, so the walk's
+    ValueError, any other mismatch an UnsupportedRoute, because the window
+    tests read connectivity off the intervals.  The solver works on a copy
+    of the graph labelled in interval order (left endpoint, right endpoint,
+    index): position p is input vertex order[p].  Tables built once map a
+    vertex to its position's bit, a position to its vertex's bit and a
+    position to the component of the graph holding it, so every per-2-set
+    step loops over the low bits of masks.
+
+    Per 2-set A, the canonical positive set B must lie in one component of
+    the graph.  One sweep in interval order finds the components K1 ... Kc
+    of G[B] (_components), and WindowTables holds their neighborhoods, so no
+    search runs per 2-set.  Every 0-vertex touches A, so a raised set X is
+    minimal exactly when G[B + X] is connected, each member of X is a cut
+    vertex of it, and X keeps a private candidate of each member of A.  With
+    near and far the 0-vertices next to K1 and Kc, in interval order:
+
+      - c = 1: no 0-vertex is a cut vertex, so X is empty;
+      - |X| = 1: x in near and far;
+      - |X| = 2: x in near only, y in far only and next to x or a component
+        x meets (y in border[x]);
+      - |X| = 3: a start window that also passes the end test;
+      - |X| >= 4: source-to-sink paths in a DAG of window-passing triples.
+
+    Outputs come by size, then lexicographically in interval order.  Only
+    start pairs whose mask can be nonzero are tried, at most |near| times
+    the spare vertices; they serve both the triples and the DAG's start
+    nodes, and a start triple's end test, run only if y or z is in far, is
+    kept for the walk.  The DAG is walked once depth-first: a path is output
+    when it reaches a sink, and a node whose subtree gave no sink is marked
+    dead and never entered again, so each dead subtree is explored once and
+    the delay stays polynomial.  Output masks are built in input labels as
+    the walk pushes each raised vertex, on an explicit stack, so the walk's
     depth is not bounded by Python's recursion limit.
     """
 
@@ -372,8 +342,7 @@ class IntervalConnectedSolver(FixedTwoSolver):
         self._position_bit = position_bit = [0] * g.n
         for p, v in enumerate(order):
             position_bit[v] = 1 << p
-        self._model = IntervalModel(tuple(model.intervals[v] for v in order))
-        iv = self._model.intervals
+        iv = [model.intervals[v] for v in order]
         lefts = [lo for lo, _ in iv]
         by_right = sorted(range(g.n), key=lambda p: iv[p][1])
         # one sweep in interval order: an interval meets the earlier ones
@@ -410,25 +379,57 @@ class IntervalConnectedSolver(FixedTwoSolver):
         # members in two components of the graph: no raised set joins them
         if pos0 and self._run[(pos0 & -pos0).bit_length() - 1] != self._run[pos0.bit_length() - 1]:
             return
-        spare = h.full & ~pos0
-        fewest = fewest_connectors(self._model, pos0, spare)
-        input_bit = self._input_bit
+        n, input_bit = h.n, self._input_bit
         base = a | _relabel(pos0 & ~ctx.a, input_bit)
-        if fewest < 4:
-            universe = list(bits(spare))
-            for k in range(fewest, min(3, len(universe)) + 1):
-                for combo in combinations(universe, k):
-                    raised = mask_of(combo)
-                    if ctx.minimal(pos0 | raised):
-                        yield function_from_masks(h.n, a, base | _relabel(raised, input_bit))
+        components = self._components(pos0)
+        if len(components) < 2:  # no 0-vertex can be a cut vertex
+            yield function_from_masks(n, a, base)
+            return
+        spare = h.full & ~pos0
+        # the intervals that end last lie in the last component, and any
+        # member of a component roots it
+        last = components[-1][0]
+        tables = WindowTables(h, ctx, (pos0 & -pos0).bit_length() - 1,
+                              (last & -last).bit_length() - 1, components)
+        border, kept = tables._border, tables._kept
+        near, far = components[0][1] & spare, components[-1][1] & spare
+        for x in bits(near & far):
+            if kept[x] & ~(1 << x):
+                yield function_from_masks(n, a, base | input_bit[x])
+        for x in bits(near & ~far):
+            for y in bits(far & ~near & border[x]):
+                window = 1 << x | 1 << y
+                if kept[x] & ~window and kept[y] & ~window:
+                    yield function_from_masks(n, a, base | input_bit[x] | input_bit[y])
+        # start pairs in lexicographic order: each pair's mask gives every
+        # third member at once, and a pair can have a nonzero mask only with
+        # exactly one member x or y in near and, if x is, y in border[x]
+        pairs, ends = [], {}
+        xs = spare & (1 << near.bit_length()) - 1
+        while xs:
+            low_x = xs & -xs
+            xs ^= low_x
+            x = low_x.bit_length() - 1
+            ys = (spare & ~near & border[x] if near & low_x else near) & -(low_x << 1)
+            while ys:
+                low_y = ys & -ys
+                ys ^= low_y
+                y = low_y.bit_length() - 1
+                zs = tables.start_mask(x, y) & spare & -(low_y << 1)
+                if not zs:
+                    continue
+                pairs.append((x, y, zs))
+                # a start triple is a completion if it passes the end test,
+                # which fails unless y or z is in far
+                for z in bits(zs if low_y & far else zs & far):
+                    window = low_x | low_y | 1 << z
+                    if kept[x] & ~window and kept[y] & ~window and kept[z] & ~window:
+                        ends[x, y, z] = sink = tables.end_ok(x, y, z)
+                        if sink:
+                            yield function_from_masks(
+                                n, a, base | input_bit[x] | input_bit[y] | input_bit[z])
         if spare.bit_count() >= 4:
-            components = self._components(pos0)
-            # the intervals that end last lie in the last component, and any
-            # member of a component roots it
-            last = components[-1][0]
-            tables = WindowTables(h, ctx, (pos0 & -pos0).bit_length() - 1,
-                                  (last & -last).bit_length() - 1, components)
-            yield from self._large_stream(a, base, spare, tables, components[0][1] & spare)
+            yield from self._large_stream(a, base, spare, tables, pairs, ends)
 
     def _components(self, members: int) -> list:
         """(K, N(K)) for each component K of G[members], left to right.
@@ -454,7 +455,8 @@ class IntervalConnectedSolver(FixedTwoSolver):
             runs.append((component, nb))
         return runs
 
-    def _large_stream(self, a, base, spare, tables, near) -> Iterator[RomanFunction]:
+    def _large_stream(self, a, base, spare, tables, pairs, ends) -> Iterator[RomanFunction]:
+        """The DAG's paths from the start nodes of pairs, each (x, y, z mask)."""
         n, order, input_bit = self._graph.n, self.order, self._input_bit
         kept = tables._kept
         tested: dict = {}
@@ -475,7 +477,8 @@ class IntervalConnectedSolver(FixedTwoSolver):
                 window = taken | low
                 if kept[w] & ~window and kept[x] & ~window and kept[y] & ~window and kept[z] & ~window:
                     after.append((x, y, z))
-            got = tested[node] = (tables.end_ok(w, x, y), after)
+            sink = ends[node] if node in ends else tables.end_ok(w, x, y)
+            got = tested[node] = (sink, after)
             return got
 
         def walk(start, raised):
@@ -503,31 +506,18 @@ class IntervalConnectedSolver(FixedTwoSolver):
                         else:
                             dead.add(node)
 
-        # start nodes in lexicographic order: each pair's mask gives every
-        # third member at once, and only a pair with exactly one member in
-        # near, the 0-vertices next to s's component, has a nonzero mask
-        xs = spare
-        while xs:
-            low_x = xs & -xs
-            xs ^= low_x
-            x = low_x.bit_length() - 1
-            ys = (spare & ~near if near & low_x else near) & -(low_x << 1)
-            while ys:
-                low_y = ys & -ys
-                ys ^= low_y
-                y = low_y.bit_length() - 1
-                zs = tables.start_mask(x, y) & spare & -(low_y << 1)
-                while zs:
-                    low_z = zs & -zs
-                    zs ^= low_z
-                    z = low_z.bit_length() - 1
-                    window = low_x | low_y | low_z
-                    if (
-                        kept[x] & ~window and kept[y] & ~window and kept[z] & ~window
-                        and (x, y, z) not in dead
-                    ):
-                        raised = base | input_bit[x] | input_bit[y] | input_bit[z]
-                        yield from walk((x, y, z), raised)
+        for x, y, zs in pairs:
+            while zs:
+                low_z = zs & -zs
+                zs ^= low_z
+                z = low_z.bit_length() - 1
+                window = 1 << x | 1 << y | low_z
+                if (
+                    kept[x] & ~window and kept[y] & ~window and kept[z] & ~window
+                    and (x, y, z) not in dead
+                ):
+                    raised = base | input_bit[x] | input_bit[y] | input_bit[z]
+                    yield from walk((x, y, z), raised)
 
 
 def _interval_solver(g: Graph, variant: Variant, model: Optional[IntervalModel]):

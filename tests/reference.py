@@ -47,6 +47,7 @@ from romanenum.roman import (
     TwoSetContext,
     UnsupportedRoute,
     Variant,
+    function_from_masks,
     is_variant,
     pos_mask,
     sub_one,
@@ -260,6 +261,22 @@ def components_by_search(g: Graph, s: int) -> list[tuple[int, int]]:
     return found
 
 
+def small_completions(g: Graph, a: int) -> set:
+    """The connected completions of the 2-set a that raise at most three
+    0-vertices of its canonical function, by direct scan: every such raised
+    set that TwoSetContext.minimal accepts."""
+    ctx = TwoSetContext(g, a, Variant.CRDF)
+    if not ctx.valid():
+        return set()
+    spare = list(bits(g.full & ~ctx.pos0))
+    return {
+        function_from_masks(g.n, a, ctx.pos0 | mask_of(raised))
+        for k in range(min(3, len(spare)) + 1)
+        for raised in combinations(spare, k)
+        if ctx.minimal(ctx.pos0 | mask_of(raised))
+    }
+
+
 def keeps_private(tables, window) -> bool:
     """The windows' private-neighbor condition as the interval solver reads
     it off the tables' owner table: no member of the window has an owner in
@@ -299,6 +316,25 @@ def validate_interval_model(g: Graph, m: IntervalModel) -> bool:
 def path_interval_model(n: int) -> IntervalModel:
     """Unit intervals [i, i+1]; consecutive ones touch at the shared endpoint."""
     return IntervalModel(tuple((i, i + 1) for i in range(n)))
+
+
+def interval_models(n: int):
+    """Every interval model of n intervals up to endpoint order: the 2n
+    endpoints are 0..2n-1, paired in each of the (2n-1)!! ways, the smaller
+    of each pair the left end.  Listed by the interval of endpoint 0, then
+    recursively."""
+
+    def pairings(points):
+        if not points:
+            yield ()
+            return
+        first, rest = points[0], points[1:]
+        for i, other in enumerate(rest):
+            for more in pairings(rest[:i] + rest[i + 1:]):
+                yield ((first, other), *more)
+
+    for intervals in pairings(tuple(range(2 * n))):
+        yield IntervalModel(intervals)
 
 
 def random_split_connected_no_universal(n: int, rng: random.Random) -> Graph:

@@ -588,6 +588,14 @@ def test_gen_refuses_a_p_outside_the_unit_interval(capsys, argv):
     assert err.startswith("error: --p ")
 
 
+@pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+def test_gen_refuses_a_negative_n(capsys, family):
+    code, out, err = run(capsys, ["gen", "--family", family, "--n", "-3"])
+    assert code == 1
+    assert out == []
+    assert err.startswith("error: --n -3 ")
+
+
 def test_gen_refuses_connected_random_that_can_never_connect(capsys, monkeypatch):
     # with p = 0 no sample on two or more vertices is connected, so the
     # resampling would never end: the family refuses before it samples

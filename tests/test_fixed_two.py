@@ -31,7 +31,6 @@ from romanenum.fixed_two import (
     MrdfSolver,
     RdfSolver,
     WindowTables,
-    fewest_connectors,
     solver_for,
 )
 from romanenum.graphs import (
@@ -52,6 +51,7 @@ from romanenum.roman import (
     Variant,
     canonical_rdf,
     format_function,
+    function_from_masks,
     is_minimal_variant,
     pos_mask,
     two_mask,
@@ -60,8 +60,10 @@ from romanenum.roman import (
 from reference import (
     component_neighborhood,
     components_by_search,
+    interval_models,
     keeps_private,
     path_interval_model,
+    small_completions,
     validate_interval_model,
 )
 
@@ -249,9 +251,11 @@ def test_interval_solver_matches_oracle_on_long_sparse_layouts():
     assert window_route >= 20
 
 
-def test_fewest_connectors_matches_brute_force():
+def test_no_raised_set_connects_a_positive_set_across_graph_components():
     # random sets on random layouts, and the anchors of chains, which need
-    # one connector per gap: 0 to 5, past the count's cap of 4
+    # one connector per gap: the solver refuses a positive set whose members
+    # lie in two components of the graph by its run table, and exactly
+    # there no choice of raised vertices connects it
     rng = random.Random(0x4569)
     instances = []
     for _ in range(300):
@@ -262,28 +266,102 @@ def test_fewest_connectors_matches_brute_force():
         instances.append((g, model, mask_of(range(anchors))))
     seen = set()
     for g, model, pos in instances:
-        n = g.n
         spare = list(bits(g.full & ~pos))
-        fewest = next(
-            (
-                k
-                for k in range(len(spare) + 1)
-                if any(is_connected_set(g, pos | mask_of(x)) for x in combinations(spare, k))
-            ),
-            None,
+        connectable = any(
+            is_connected_set(g, pos | mask_of(x))
+            for k in range(len(spare) + 1)
+            for x in combinations(spare, k)
         )
-        # fewest_connectors reads the model in interval order, by position,
-        # and counts up to 4; the solver refuses a positive set in two
-        # components of the graph, which no choice connects, by its run table
         solver = IntervalConnectedSolver(g, model)
-        ordered = IntervalModel(tuple(model.intervals[v] for v in solver.order))
-        members = mask_of(p for p, v in enumerate(solver.order) if pos >> v & 1)
-        got = fewest_connectors(ordered, members, (1 << n) - 1 & ~members)
-        assert got == (4 if fewest is None else min(fewest, 4)), (model, pos)
-        runs = {solver._run[p] for p in bits(members)}
-        assert (fewest is None) == (len(runs) > 1), (model, pos)
-        seen.add(fewest)
-    assert seen == {None, 0, 1, 2, 3, 4, 5}, seen
+        runs = {solver._run[p] for p, v in enumerate(solver.order) if pos >> v & 1}
+        assert connectable == (len(runs) <= 1), (model, pos)
+        seen.add(connectable)
+    assert seen == {False, True}
+
+
+def connector_chain_layout(rng):
+    """2-4 anchors along a line, each gap bridged by a chain of 1-3
+    connectors that must all be raised to cross it, and 1-2 long intervals
+    that may bridge several gaps at once; at most 11 in all, shuffled."""
+    anchors = rng.randint(2, 4)
+    layout = [(10 * i, 10 * i + 3) for i in range(anchors)]
+    for i in range(anchors - 1):
+        links = rng.randint(1, 3)
+        ends = [10 * i + 2 + 9 * j // links for j in range(links + 1)]
+        layout += [(ends[j], ends[j + 1]) for j in range(links)]
+    for _ in range(rng.randint(1, 2)):
+        lo = rng.randint(0, 10 * anchors - 10)
+        layout.append((lo, lo + rng.randint(8, 25)))
+    rng.shuffle(layout)
+    return IntervalModel(tuple(layout[:11]))
+
+
+def test_small_raised_sets_match_the_direct_scan():
+    # the completions raising at most three vertices, read off near, far,
+    # the borders and the start and end tests, against a scan of every
+    # raised set of at most three 0-vertices through TwoSetContext.minimal:
+    # every valid 2-set of every model of at most five intervals (up to
+    # endpoint order), and of connector-chain layouts
+    models = [model for n in range(1, 6) for model in interval_models(n)]
+    assert len(models) == 1069
+    rng = random.Random(0x4573)
+    models += [connector_chain_layout(rng) for _ in range(150)]
+    sizes = defaultdict(int)
+    for model in models:
+        g = intersection_graph(model)
+        solver = IntervalConnectedSolver(g, model)
+        for a in range(1 << g.n):
+            ctx = TwoSetContext(g, a, Variant.CRDF)
+            if not ctx.valid():
+                continue
+            got = {f for f in solver.stream(a) if (pos_mask(f) & ~ctx.pos0).bit_count() <= 3}
+            assert got == small_completions(g, a), (model, a)
+            for f in got:
+                sizes[(pos_mask(f) & ~ctx.pos0).bit_count()] += 1
+    assert min(sizes[k] for k in range(4)) >= 200, dict(sizes)
+
+
+def long_interval_layout(k, ends):
+    """[0, 10k] over k short intervals, and with ends, one interval outside
+    it at each end, each joined to it by one connector."""
+    intervals = [(0, 10 * k)] + [(10 * i + 1, 10 * i + 2) for i in range(k)]
+    if ends:
+        intervals += [(-10, -5), (-6, 0), (10 * k, 10 * k + 6), (10 * k + 5, 10 * k + 10)]
+    return IntervalModel(tuple(intervals))
+
+
+@pytest.mark.parametrize("ends", (False, True))
+def test_long_interval_streams_without_a_search(monkeypatch, window_tests, ends):
+    # the 2-set {long}: every short interval is a 0-vertex, so a scan of
+    # the raised sets of at most three of them tests C(k, 3) candidates,
+    # one search per raised vertex each.  The window tables answer it with
+    # no minimality call, no search, and window tests at most one per spare
+    # vertex
+    work = defaultdict(int)
+    reach, minimal = graph_core._reach, TwoSetContext.minimal
+
+    def counted_reach(*args):
+        work["reach"] += 1
+        return reach(*args)
+
+    def counted_minimal(*args):
+        work["minimal"] += 1
+        return minimal(*args)
+
+    monkeypatch.setattr(graph_core, "_reach", counted_reach)
+    monkeypatch.setattr(TwoSetContext, "minimal", counted_minimal)
+    for k in (20, 40, 80):
+        model = long_interval_layout(k, ends)
+        g = intersection_graph(model)
+        solver = IntervalConnectedSolver(g, model)
+        # the solver's own stream: the suite's yield check runs searches
+        out = list(IntervalConnectedSolver.stream.__wrapped__(solver, bit(0)))
+        assert dict(work) == {}, (k, dict(work))
+        tests = sum(len(calls) for calls in window_tests.values())
+        assert tests <= g.n - 1, (k, dict(window_tests))
+        window_tests.clear()
+        # every short interval stays 0, and with ends both connectors rise
+        assert out == [function_from_masks(g.n, bit(0), g.full & ~mask_of(range(1, k + 1)))]
 
 
 def probe_start(g, ctx, tables, x, y, z):
@@ -608,8 +686,8 @@ def test_first_output_probe_count_grows_linearly(monkeypatch):
 
 @pytest.mark.parametrize("anchors", (20, 40, 80, 160))
 def test_first_output_searches_once_per_anchor(monkeypatch, anchors):
-    # at most once per anchor, and in fact never: on the chain's 2-set the
-    # raised sets are too large for the scan, whose probes are searches
+    # at most once per anchor, and in fact never: the interval route reads
+    # every raised set off its window tables
     assert searches_to_first_output(monkeypatch, anchors) == 0
 
 
