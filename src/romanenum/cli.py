@@ -20,11 +20,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from contextlib import closing, contextmanager
 from typing import Optional, Sequence
 
-from .engine import EnumerationStats, iter_minimal
+from .engine import EnumerationStats, iter_minimal, timed
 from .fixed_two import ROUTES, solver_for
 from .graphs import (
     Graph,
@@ -129,26 +128,18 @@ def cmd_fixed_two(ns: argparse.Namespace) -> int:
     a = parse_vertex_set(ns.two_set, g.n)
     solver = _make_solver(ns, g)
     with _output(ns.output) as write:
-        # seconds is the solver's own time, as in enumerate: only its
-        # stream steps are timed, not the writes
-        clock = time.perf_counter
-        seconds = 0.0
-        count = 0
-        with closing(solver.stream(a)) as stream:
-            while True:
-                start = clock()
-                f = next(stream, None)
-                seconds += clock() - start
-                if f is None:
-                    break
+        # seconds is the solver's own time, as in enumerate: the writes are
+        # left out
+        st = EnumerationStats()
+        with closing(timed(solver.stream(a), st)) as stream:
+            for f in stream:
                 write(_function_line(f, ns.fmt))
-                count += 1
-                if count == ns.limit:
+                if st.outputs == ns.limit:
                     break
         if ns.stats:
-            write(f"# outputs={count}")
-            write(f"# seconds={round(seconds, 6)}")
-    return OK if count else ERR_EMPTY
+            write(f"# outputs={st.outputs}")
+            write(f"# seconds={round(st.seconds, 6)}")
+    return OK if st.outputs else ERR_EMPTY
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:

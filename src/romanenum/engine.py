@@ -20,7 +20,7 @@ shipped solver is polynomial.
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .fixed_two import FixedTwoSolver
 from .graphs import Graph
@@ -35,8 +35,8 @@ class EnumerationStats:
     them; max_consecutive_empty is the longest run of empty completion
     sets between nonempty ones; max_inter_output_work is the largest number
     of candidate sets examined between two consecutive outputs (or before
-    the first / after the last); seconds is the engine's own time, without
-    the time the consumer holds each output.
+    the first / after the last); seconds is the producer's own time, without
+    the time the consumer holds each output (see timed).
     """
 
     def __init__(self) -> None:
@@ -58,6 +58,25 @@ class EnumerationStats:
         }
 
 
+def timed(items: Iterable, stats: EnumerationStats) -> Iterator:
+    """Yield the items, counting each in stats.outputs and adding to
+    stats.seconds only the time spent producing them: the time the consumer
+    holds an item is left out, also when it closes the stream there."""
+    clock = time.perf_counter
+    busy = 0.0  # producer time up to the last suspension
+    resumed = clock()
+    try:
+        for item in items:
+            stats.outputs += 1
+            busy += clock() - resumed
+            try:
+                yield item
+            finally:  # also when the consumer closes the stream here
+                resumed = clock()
+    finally:
+        stats.seconds += busy + clock() - resumed
+
+
 def iter_minimal(
     g: Graph,
     variant: Variant,
@@ -74,63 +93,43 @@ def iter_minimal(
             f"solver enumerates {solver.variant.value}, asked for {variant.value}"
         )
     st = stats if stats is not None else EnumerationStats()
-    clock = time.perf_counter
-    busy = 0.0  # engine time up to the last suspension
-    resumed = clock()
-    work_since_output = 0
-    consecutive_empty = 0
+    return timed(_walk(g, solver, st), st)
 
-    def note(empty: bool) -> None:
-        nonlocal work_since_output, consecutive_empty
+
+def _walk(g: Graph, solver: FixedTwoSolver, st: EnumerationStats) -> Iterator[Tuple[int, RomanFunction]]:
+    """iter_minimal's depth-first walk, with its 2-sets counted in st."""
+    cadj = g.cadj
+    work_since_output = consecutive_empty = 0
+    # a frame holds a 2-set, the vertices its members dominate once and
+    # twice, and its valid children not yet visited
+    stack: List[List[int]] = []
+    b = once = twice = 0  # the root, the empty 2-set
+    while True:
         st.sets_explored += 1
         work_since_output += 1
-        if empty:
+        if solver.first(b) is None:
             st.empty_sets_explored += 1
             consecutive_empty += 1
             if consecutive_empty > st.max_consecutive_empty:
                 st.max_consecutive_empty = consecutive_empty
         else:
             consecutive_empty = 0
-
-    def drain(a: int) -> Iterator[Tuple[int, RomanFunction]]:
-        nonlocal work_since_output, busy, resumed
-        for f in solver.stream(a):
-            st.outputs += 1
-            if work_since_output > st.max_inter_output_work:
-                st.max_inter_output_work = work_since_output
-            work_since_output = 0
-            busy += clock() - resumed
-            try:
-                yield a, f
-            finally:  # also when the consumer closes the stream here
-                resumed = clock()
-
-    cadj = g.cadj
-    try:
-        root_first = solver.first(0)
-        note(root_first is None)
-        if root_first is not None:
-            yield from drain(0)
-            # a frame holds a 2-set, the vertices its members dominate once
-            # and twice, and its valid children not yet visited
-            stack: List[List[int]] = [[0, 0, 0, valid_children(g, 0, 0, 0)]]
-            while stack:
-                frame = stack[-1]
-                a, once, twice, children = frame
-                if not children:
-                    stack.pop()
-                    continue
-                low = children & -children
-                frame[3] = children ^ low
-                b = a | low
-                fb = solver.first(b)
-                note(fb is None)
-                if fb is not None:
-                    yield from drain(b)
-                    nb = cadj[low.bit_length() - 1]
-                    b_once, b_twice = once | nb, twice | (once & nb)
-                    stack.append([b, b_once, b_twice, valid_children(g, b, b_once, b_twice)])
-        if work_since_output > st.max_inter_output_work:
-            st.max_inter_output_work = work_since_output
-    finally:
-        st.seconds = busy + clock() - resumed
+            for f in solver.stream(b):
+                if work_since_output > st.max_inter_output_work:
+                    st.max_inter_output_work = work_since_output
+                work_since_output = 0
+                yield b, f
+            stack.append([b, once, twice, valid_children(g, b, once, twice)])
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            break
+        frame = stack[-1]
+        a, once, twice, children = frame
+        low = children & -children
+        frame[3] = children ^ low
+        b = a | low
+        nb = cadj[low.bit_length() - 1]
+        once, twice = once | nb, twice | (once & nb)
+    if work_since_output > st.max_inter_output_work:
+        st.max_inter_output_work = work_since_output

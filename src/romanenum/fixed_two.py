@@ -39,7 +39,6 @@ the node's subtree gave no sink.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import chain, combinations
 from typing import Iterator, Optional
 
@@ -48,6 +47,7 @@ from .graphs import (
     IntervalModel,
     bit,
     bits,
+    intersection_graph,
     recognize_cobipartite,
     same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
 )
@@ -295,13 +295,14 @@ class IntervalConnectedSolver(FixedTwoSolver):
     """Connected completions on interval graphs with polynomial delay.
 
     The model must realize the graph: a model of the wrong size is a
-    ValueError, any other mismatch an UnsupportedRoute, because the window
-    tests read connectivity off the intervals.  The solver works on a copy
-    of the graph labelled in interval order (left endpoint, right endpoint,
-    index): position p is input vertex order[p].  Tables built once map a
-    vertex to its position's bit, a position to its vertex's bit and a
-    position to the component of the graph holding it, so every per-2-set
-    step loops over the low bits of masks.
+    ValueError, and a model whose intersection graph differs from the graph
+    an UnsupportedRoute, because the window tests read connectivity off the
+    interval order.  The solver works on a copy of the graph labelled in
+    interval order (left endpoint, right endpoint, index): position p is
+    input vertex order[p].  Tables built once map a vertex to its position's
+    bit, a position to its vertex's bit and a position to the component of
+    the graph holding it, so every per-2-set step loops over the low bits of
+    masks.
 
     Per 2-set A, the canonical positive set B must lie in one component of
     the graph.  One sweep in interval order finds the components K1 ... Kc
@@ -336,38 +337,24 @@ class IntervalConnectedSolver(FixedTwoSolver):
         super().__init__(g)
         if len(model) != g.n:
             raise ValueError("interval model size does not match the graph")
+        if intersection_graph(model) != g:
+            raise UnsupportedRoute("interval model does not realize the graph")
         # a stable sort by interval keeps equal intervals in index order
         self.order = order = sorted(range(g.n), key=model.intervals.__getitem__)
-        self._input_bit = input_bit = [1 << v for v in order]
+        self._input_bit = [1 << v for v in order]
         self._position_bit = position_bit = [0] * g.n
         for p, v in enumerate(order):
             position_bit[v] = 1 << p
-        iv = [model.intervals[v] for v in order]
-        lefts = [lo for lo, _ in iv]
-        by_right = sorted(range(g.n), key=lambda p: iv[p][1])
-        # one sweep in interval order: an interval meets the earlier ones
-        # still open at its left endpoint and the later ones that start
-        # inside it, which hold consecutive positions; each edge of g is
-        # checked at its later end.  The components of g are runs of
-        # positions, and _run numbers them: one starts where no earlier
-        # interval is still open
-        rows = []
+        rows = [_relabel(g.adj[v], position_bit) for v in order]
+        # the components of g are runs of positions, and _run numbers them:
+        # a component starts at each position with no earlier neighbor, as
+        # every earlier interval then ends before that one starts, and no
+        # later one starts before it
         self._run = run_of = []
-        still_open = open_vertices = earlier = closed = 0
         run = -1
-        for p, (lo, hi) in enumerate(iv):
-            while iv[by_right[closed]][1] < lo:
-                still_open ^= 1 << by_right[closed]
-                open_vertices ^= input_bit[by_right[closed]]
-                closed += 1
-            if g.adj[order[p]] & earlier != open_vertices:
-                raise UnsupportedRoute("interval model does not realize the graph")
-            run += not still_open
+        for p, row in enumerate(rows):
+            run += not row & (1 << p) - 1
             run_of.append(run)
-            rows.append(still_open | (1 << bisect_right(lefts, hi)) - (2 << p))
-            still_open |= 1 << p
-            open_vertices |= input_bit[p]
-            earlier |= input_bit[p]
         self._graph = Graph.from_rows(rows)
 
     def stream(self, a: int) -> Iterator[RomanFunction]:

@@ -163,14 +163,6 @@ def closed_neighborhood(g: Graph, s: int) -> int:
     return out
 
 
-def open_neighborhood(g: Graph, s: int) -> int:
-    """N(s): union of open neighborhoods; may intersect s itself."""
-    out = 0
-    for v in bits(s):
-        out |= g.adj[v]
-    return out
-
-
 def is_dominating(g: Graph, s: int) -> bool:
     return closed_neighborhood(g, s) == g.full
 

@@ -1,4 +1,4 @@
-"""Roman domination functions: predicates and minimality tests.
+"""Roman domination functions: text forms, masks and minimality tests.
 
 A function is a tuple of values in {0,1,2}, one per vertex.  Variants:
 
@@ -9,12 +9,15 @@ A function is a tuple of values in {0,1,2}, one per vertex.  Variants:
   prdf  every 0-vertex has exactly one neighbor of value 2 ("perfect";
         predicate only, no minimality characterization here)
 
-Minimality is with respect to the pointwise order on functions.
+Minimality is with respect to the pointwise order on functions.  The
+package decides each property on masks, per 2-set, in TwoSetContext; the
+tests keep a definition-level predicate on tuples as their reference.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Optional
 
 from .graphs import (
     Graph,
@@ -23,7 +26,7 @@ from .graphs import (
     closed_neighborhood,
     is_connected_set,
     is_dominating,
-    open_neighborhood,
+    mask_of,
 )
 
 
@@ -74,48 +77,6 @@ def two_mask(f: RomanFunction) -> int:
     return m
 
 
-def sub_one(f: RomanFunction, mask: int) -> RomanFunction:
-    """Lower every vertex of the mask by one."""
-    out = list(f)
-    for v in bits(mask):
-        if out[v] <= 0:
-            raise ValueError(f"vertex {v} already at value 0")
-        out[v] -= 1
-    return tuple(out)
-
-
-# ------------------------------------------------------------- predicates
-
-
-def is_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
-    if len(f) != g.n:
-        raise ValueError("function length does not match graph order")
-    pos = pos_mask(f)
-    m2 = two_mask(f)
-    m0 = g.full & ~pos
-    covered = open_neighborhood(g, m2)
-    if variant is Variant.PRDF:
-        for v in bits(m0):
-            two_nbrs = g.adj[v] & m2
-            if two_nbrs == 0 or two_nbrs & (two_nbrs - 1):
-                return False
-        return True
-    if m0 & ~covered:
-        return False
-    if variant is Variant.RDF:
-        return True
-    if variant is Variant.MRDF:
-        return not is_dominating(g, m0)
-    if variant is Variant.TRDF:
-        for v in bits(pos):
-            if not g.adj[v] & pos:
-                return False
-        return True
-    if variant is Variant.CRDF:
-        return is_connected_set(g, pos)
-    raise ValueError(f"unknown variant {variant}")
-
-
 def canonical_rdf(g: Graph, a: int) -> RomanFunction:
     """The pointwise-least rdf whose 2-set is a: 2 on a, 1 outside N[a]."""
     covered = closed_neighborhood(g, a)
@@ -162,8 +123,10 @@ class TwoSetContext:
                they all lie outside pos0, and v keeps an external private
                neighbor exactly when one of them stays 0
 
-    and `minimal(pos)` decides minimality for the rdf, mrdf, trdf or crdf
-    variant.
+    For the rdf, mrdf, trdf or crdf variant, `droppable(pos)` is the one
+    droppability rule: the 1-vertices next to A that can drop to 0 with the
+    property kept, or None when the property fails.  `minimal(pos)` decides
+    minimality from it and the private candidates.
     The private candidates of different members are disjoint (each is
     covered by its owner alone), and `valid()` is valid_two_set in O(|A|).
     """
@@ -195,6 +158,44 @@ class TwoSetContext:
                 return False
         return True
 
+    def droppable(self, pos: int) -> Optional[int]:
+        """The 1-vertices next to A that can drop to 0 with the property
+        kept, as a mask, or None when the function with 2-set A and
+        positive set pos lacks the property of the context's variant.
+
+        A 1-vertex v next to A that drops to 0 keeps a 2-neighbor, so the
+        rdf part of the property holds after the drop; what remains is the
+        variant's own condition on the 0-set or on G[pos - v].
+        """
+        g, a = self.g, self.a
+        if g.full & ~pos & ~self.nbr:
+            return None
+        ones = pos & ~a & self.nbr
+        if self.variant is Variant.MRDF:
+            # the 0-set plus v must leave some vertex undominated
+            undominated = g.full & ~closed_neighborhood(g, g.full & ~pos)
+            if not undominated:
+                return None
+            return mask_of(v for v in bits(ones) if undominated & ~g.cadj[v])
+        if self.variant is Variant.TRDF:
+            # dropping v isolates exactly the positive vertices whose only
+            # positive neighbor is v
+            needed = 0
+            for u in bits(pos):
+                nb = g.adj[u] & pos
+                if not nb:
+                    return None
+                if not nb & (nb - 1):
+                    needed |= nb
+            return ones & ~needed
+        if self.variant is Variant.CRDF:
+            if not is_connected_set(g, pos):
+                return None
+            return mask_of(v for v in bits(ones) if is_connected_set(g, pos & ~bit(v)))
+        if self.variant is Variant.RDF:
+            return ones
+        raise ValueError(f"no minimality context for {self.variant}")
+
     def minimal(self, pos: int) -> bool:
         """Is the function with 2-set A and positive set pos a minimal
         function of the context's variant?
@@ -205,33 +206,7 @@ class TwoSetContext:
         every 1-vertex next to A is droppable, so for a valid A the one
         minimal function is the canonical one, pos == pos0.
         """
-        g, a = self.g, self.a
-        if g.full & ~pos & ~self.nbr or not self.private_ok(pos):
-            return False
-        ones = pos & ~a & self.nbr
-        if self.variant is Variant.MRDF:
-            undominated = g.full & ~closed_neighborhood(g, g.full & ~pos)
-            if not undominated:
-                return False
-            return all(not undominated & ~g.cadj[v] for v in bits(ones))
-        if self.variant is Variant.TRDF:
-            # dropping v must isolate some positive vertex, i.e. a vertex
-            # whose only positive neighbor is v
-            needed = 0
-            for u in bits(pos):
-                nb = g.adj[u] & pos
-                if not nb:
-                    return False
-                if not nb & (nb - 1):
-                    needed |= nb
-            return not ones & ~needed
-        if self.variant is Variant.CRDF:
-            if not is_connected_set(g, pos):
-                return False
-            return not any(is_connected_set(g, pos & ~bit(v)) for v in bits(ones))
-        if self.variant is Variant.RDF:
-            return not ones
-        raise ValueError(f"no minimality context for {self.variant}")
+        return self.private_ok(pos) and self.droppable(pos) == 0
 
 
 def valid_children(g: Graph, a: int, once: int, twice: int) -> int:
@@ -292,10 +267,9 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
     lines = []
     pos = pos_mask(f)
     m2 = two_mask(f)
-    m1 = pos & ~m2
     m0 = g.full & ~pos
     if variant is Variant.PRDF:
-        holds = is_variant(g, f, variant)
+        holds = all((g.adj[v] & m2).bit_count() == 1 for v in bits(m0))
         lines.append(f"prdf: {'yes' if holds else 'no'} (predicate only, no minimality test)")
         return holds, lines
     ctx = TwoSetContext(g, m2, variant)
@@ -333,20 +307,16 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
         lines.append(f"2-vertices without an external private neighbor: {bad_two}")
     else:
         lines.append("every 2-vertex keeps an external private neighbor: ok")
+    droppable = ctx.droppable(pos)
     if variant is Variant.RDF:
-        if pos != ctx.pos0:
+        if droppable:
             lines.append("differs from the canonical rdf of its 2-set: some value is droppable")
         else:
             lines.append("equals the canonical rdf of its 2-set: ok")
+    elif droppable:
+        lines.append(f"droppable 1-vertices: {list(bits(droppable))}")
     else:
-        bad_one = [
-            v for v in bits(m1)
-            if g.adj[v] & m2 and is_variant(g, sub_one(f, bit(v)), variant)
-        ]
-        if bad_one:
-            lines.append(f"droppable 1-vertices: {bad_one}")
-        else:
-            lines.append("no droppable 1-vertex: ok")
+        lines.append("no droppable 1-vertex: ok")
     minimal = ctx.minimal(pos)
     lines.append(f"minimal {variant.value}: {'YES' if minimal else 'NO'}")
     return minimal, lines

@@ -4,7 +4,10 @@ The package keeps what its commands run; the independent answers the tests
 check it against live here.  Each reference is the definition read off
 directly: a full scan over functions, hitting sets, assignments or
 dominating sets, or a resampling generator.  Where a reference scans all
-3^n functions it reuses the oracle's vectorised tables.  The checkers of the
+3^n functions it reuses the oracle's vectorised tables.  `is_variant` is the
+tests' definition-level predicate: it decides a property on the tuple
+itself, with `open_neighborhood` and `sub_one` as its helpers, and shares no
+code with the package's per-2-set rule, TwoSetContext.  The checkers of the
 paper's two nice-property conditions and the solver-backed extension check
 live here too, since no command runs them.
 
@@ -28,8 +31,9 @@ from romanenum.graphs import (
     closed_neighborhood,
     intersection_graph,
     is_connected,
+    is_connected_set,
+    is_dominating,
     mask_of,
-    open_neighborhood,
 )
 from romanenum.oracle import (
     DEFAULT_CAP,
@@ -48,13 +52,50 @@ from romanenum.roman import (
     UnsupportedRoute,
     Variant,
     function_from_masks,
-    is_variant,
     pos_mask,
-    sub_one,
     two_mask,
 )
 
 # ------------------------------------------------------------- functions
+
+
+def open_neighborhood(g: Graph, s: int) -> int:
+    """N(s): union of open neighborhoods; may intersect s itself."""
+    out = 0
+    for v in bits(s):
+        out |= g.adj[v]
+    return out
+
+
+def is_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
+    """Does f have the variant's property?  The definition read off the
+    tuple, sharing no code with TwoSetContext."""
+    if len(f) != g.n:
+        raise ValueError("function length does not match graph order")
+    pos = pos_mask(f)
+    m2 = two_mask(f)
+    m0 = g.full & ~pos
+    covered = open_neighborhood(g, m2)
+    if variant is Variant.PRDF:
+        for v in bits(m0):
+            two_nbrs = g.adj[v] & m2
+            if two_nbrs == 0 or two_nbrs & (two_nbrs - 1):
+                return False
+        return True
+    if m0 & ~covered:
+        return False
+    if variant is Variant.RDF:
+        return True
+    if variant is Variant.MRDF:
+        return not is_dominating(g, m0)
+    if variant is Variant.TRDF:
+        for v in bits(pos):
+            if not g.adj[v] & pos:
+                return False
+        return True
+    if variant is Variant.CRDF:
+        return is_connected_set(g, pos)
+    raise ValueError(f"unknown variant {variant}")
 
 
 def property_holders(g: Graph, variant: Variant, cap: int = DEFAULT_CAP) -> list[tuple]:
@@ -110,6 +151,16 @@ def add_one(f: RomanFunction, mask: int) -> RomanFunction:
         if out[v] >= 2:
             raise ValueError(f"vertex {v} already at value 2")
         out[v] += 1
+    return tuple(out)
+
+
+def sub_one(f: RomanFunction, mask: int) -> RomanFunction:
+    """Lower every vertex of the mask by one."""
+    out = list(f)
+    for v in bits(mask):
+        if out[v] <= 0:
+            raise ValueError(f"vertex {v} already at value 0")
+        out[v] -= 1
     return tuple(out)
 
 

@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from romanenum.engine import EnumerationStats, iter_minimal
+from romanenum.engine import EnumerationStats, iter_minimal, timed
 from romanenum.families import (
     complete_graph,
     path_graph,
@@ -184,6 +184,24 @@ def test_seconds_leave_out_the_consumer():
     time.sleep(0.05)
     stream.close()
     assert 0.0 < st.seconds < 0.05
+
+    # fixed-two's clock is the same one around a single solver's stream: a
+    # sleep at each output, then a close before the stream ends
+    g = path_graph(7)
+    solver = MrdfSolver(g)
+    a = bit(1) | bit(5)
+    assert len(list(solver.stream(a))) == 4
+    st = EnumerationStats()
+    stream = timed(solver.stream(a), st)
+    taken = 0
+    for _f in stream:
+        taken += 1
+        time.sleep(pause)
+        if taken == 3:
+            break
+    stream.close()
+    assert taken == st.outputs == 3
+    assert 0.0 < st.seconds < taken * pause
 
 
 def test_interval_route_on_paths_matches_oracle_through_engine():

@@ -533,10 +533,10 @@ def test_chord_the_model_does_not_show_still_connects():
 
 
 def test_interval_order_graph_is_the_input_relabelled():
-    # the constructor's sweep, against the pairwise definition, on models
-    # with equal and touching intervals: it accepts the intersection graph,
-    # refuses it with any one pair toggled, and its position-labelled copy
-    # maps back onto the input through order
+    # the constructor's model check, against the pairwise definition, on
+    # models with equal and touching intervals: it accepts the intersection
+    # graph, refuses it with any one pair toggled, and its position-labelled
+    # copy maps back onto the input through order
     rng = random.Random(0x1D7)
     for _ in range(200):
         n = rng.randint(1, 12)
@@ -554,6 +554,24 @@ def test_interval_order_graph_is_the_input_relabelled():
             toggled = edges ^ {rng.choice(pairs)}
             with pytest.raises(UnsupportedRoute):
                 IntervalConnectedSolver(Graph(n, toggled), model)
+    # random (graph, model) pairs, a third of the graphs missing or gaining
+    # one edge: the solver refuses exactly where the model does not realize
+    # the graph
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        g, model = random_interval_instance(n, rng)
+        if n >= 2 and rng.randrange(3) == 0:
+            pair = rng.choice(list(combinations(range(n), 2)))
+            g = Graph(n, set(g.edges()) ^ {pair})
+        realized = validate_interval_model(g, model)
+        if realized:
+            IntervalConnectedSolver(g, model)
+        else:
+            with pytest.raises(UnsupportedRoute):
+                IntervalConnectedSolver(g, model)
+        seen.add(realized)
+    assert seen == {False, True}
 
 
 def test_window_tables_size_mismatch():

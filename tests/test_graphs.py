@@ -20,7 +20,6 @@ from romanenum.graphs import (
     is_connected_set,
     is_dominating,
     mask_of,
-    open_neighborhood,
     parse_graph,
     parse_intervals,
     parse_vertex_set,
@@ -35,6 +34,7 @@ from reference import (
     component_neighborhood,
     has_universal_vertex,
     is_clique,
+    open_neighborhood,
     validate_cobipartite,
     validate_interval_model,
 )

@@ -14,7 +14,7 @@ from romanenum.families import (
     random_graph,
     random_interval_instance,
 )
-from romanenum.graphs import Graph, bit, mask_of
+from romanenum.graphs import Graph, bit, bits, mask_of
 from romanenum.oracle import oracle_all_minimal
 from romanenum.roman import (
     TwoSetContext,
@@ -24,11 +24,9 @@ from romanenum.roman import (
     format_function,
     function_from_masks,
     is_minimal_variant,
-    is_variant,
     minimality_report,
     parse_function,
     pos_mask,
-    sub_one,
     two_mask,
     valid_two_set,
 )
@@ -37,7 +35,10 @@ from reference import (
     add_one,
     exists_minimal_geq,
     extension_check,
+    is_variant,
+    open_neighborhood,
     property_holders,
+    sub_one,
     two_drop_iff_no_private,
     zero_raise_keeps_property,
 )
@@ -154,6 +155,40 @@ def test_context_validity_is_valid_two_set():
             assert ctx.minimal(ctx.pos0) == want, (g.edges(), a)
             assert function_from_masks(g.n, a, ctx.pos0) == canonical_rdf(g, a), (g.edges(), a)
             seen[want] += 1
+    assert min(seen.values()) >= 1000, seen
+
+
+def test_droppable_is_the_definition():
+    # every function whose 0-vertices lie in N(A), on random graphs: the
+    # context's one droppability rule against the tuple predicate, which
+    # shares no code with it
+    rng = random.Random(0xD209)
+    seen = {"fails": 0, "none": 0, "some": 0}
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+        for a in range(1 << n):
+            may_drop = open_neighborhood(g, a) & ~a
+            for variant in ALL_MINIMAL_VARIANTS:
+                ctx = TwoSetContext(g, a, variant)
+                zeros = may_drop
+                while True:
+                    pos = g.full & ~zeros
+                    f = function_from_masks(n, a, pos)
+                    got = ctx.droppable(pos)
+                    if not is_variant(g, f, variant):
+                        assert got is None, (g.edges(), f, variant)
+                        seen["fails"] += 1
+                    else:
+                        want = mask_of(
+                            v for v in bits(pos & may_drop)
+                            if is_variant(g, sub_one(f, bit(v)), variant)
+                        )
+                        assert got == want, (g.edges(), f, variant)
+                        seen["some" if want else "none"] += 1
+                    if not zeros:
+                        break
+                    zeros = (zeros - 1) & may_drop
     assert min(seen.values()) >= 1000, seen
 
 
