@@ -1,10 +1,10 @@
 """Enumeration engine.
 
 Walks the valid 2-sets A in depth-first lexicographic subset order (the
-children of A extend it by a vertex larger than all of its members), asks
-the fixed-2-set solver for each A's completions, and prunes a subtree as
-soon as its root has none — sound because emptiness of the completion set
-is monotone downward.
+children of A extend it by a vertex larger than all of its members), peeks
+the fixed-2-set solver's stream of each A's completions, streams them when
+the peek finds one, and prunes a subtree as soon as its root has none —
+sound because emptiness of the completion set is monotone downward.
 
 A 2-set is valid when every member keeps a private neighbor besides itself.
 Every solver's completion set is empty on an invalid set, so the engine
@@ -107,7 +107,7 @@ def _walk(g: Graph, solver: FixedTwoSolver, st: EnumerationStats) -> Iterator[Tu
     while True:
         st.sets_explored += 1
         work_since_output += 1
-        if solver.first(b) is None:
+        if next(solver.stream(b), None) is None:
             st.empty_sets_explored += 1
             consecutive_empty += 1
             if consecutive_empty > st.max_consecutive_empty:

@@ -64,7 +64,11 @@ from .roman import (
 
 
 class FixedTwoSolver:
-    """Base class: a solver is bound to one graph and one variant."""
+    """Base class: a solver is bound to one graph and one variant, and
+    `stream(a)`, the completions of the 2-set a, is its whole protocol.
+    Whoever needs only to know whether C(a) is empty peeks the stream.
+    Every solver builds its functions through roman.function_from_masks
+    (RdfSolver's through canonical_rdf, which calls it)."""
 
     variant: Variant
 
@@ -73,9 +77,6 @@ class FixedTwoSolver:
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         raise NotImplementedError
-
-    def first(self, a: int) -> Optional[RomanFunction]:
-        return next(iter(self.stream(a)), None)
 
 
 class RdfSolver(FixedTwoSolver):
@@ -86,11 +87,6 @@ class RdfSolver(FixedTwoSolver):
     def stream(self, a: int) -> Iterator[RomanFunction]:
         if valid_two_set(self.graph, a):
             yield canonical_rdf(self.graph, a)
-
-    def first(self, a: int) -> Optional[RomanFunction]:
-        if valid_two_set(self.graph, a):
-            return canonical_rdf(self.graph, a)
-        return None
 
 
 class MrdfSolver(FixedTwoSolver):

@@ -77,12 +77,6 @@ def two_mask(f: RomanFunction) -> int:
     return m
 
 
-def canonical_rdf(g: Graph, a: int) -> RomanFunction:
-    """The pointwise-least rdf whose 2-set is a: 2 on a, 1 outside N[a]."""
-    covered = closed_neighborhood(g, a)
-    return tuple(2 if a >> v & 1 else (0 if covered >> v & 1 else 1) for v in range(g.n))
-
-
 def valid_two_set(g: Graph, a: int) -> bool:
     """True iff every member of a keeps a private neighbor besides itself.
 
@@ -108,6 +102,11 @@ def function_from_masks(n: int, two: int, pos: int) -> RomanFunction:
     p = int.from_bytes(f"{pos:0{n}b}".encode().translate(_BIT_BYTES), "big")
     t = int.from_bytes(f"{two:0{n}b}".encode().translate(_BIT_BYTES), "big")
     return tuple((p + t).to_bytes(n, "little"))
+
+
+def canonical_rdf(g: Graph, a: int) -> RomanFunction:
+    """The pointwise-least rdf whose 2-set is a: 2 on a, 1 outside N[a]."""
+    return function_from_masks(g.n, a, a | (g.full & ~closed_neighborhood(g, a)))
 
 
 class TwoSetContext:

@@ -209,7 +209,7 @@ def extension_check(g: Graph, f: RomanFunction, variant: Variant, model=None) ->
         raise UnsupportedRoute(
             "extension check requires that no 1-vertex touch a 2-vertex"
         )
-    return solver_for(g, variant, model=model).first(m2) is not None
+    return next(solver_for(g, variant, model=model).stream(m2), None) is not None
 
 
 # ------------------------------------------------------------- hypergraphs

@@ -17,13 +17,14 @@ from romanenum.families import (
     random_interval_instance,
 )
 from romanenum.fixed_two import (
+    CobipartiteSolver,
     FixedTwoSolver,
     IntervalConnectedSolver,
     MrdfSolver,
     RdfSolver,
     solver_for,
 )
-from romanenum.graphs import IntervalModel, bit, intersection_graph
+from romanenum.graphs import Graph, IntervalModel, bit, intersection_graph, is_connected
 from romanenum.oracle import oracle_all_minimal
 from romanenum.roman import (
     Variant,
@@ -212,6 +213,97 @@ def test_interval_route_on_paths_matches_oracle_through_engine():
         assert found == oracle_all_minimal(g, Variant.CRDF)
 
 
+def output_set(g, variant, solver):
+    return {f for _a, f in iter_minimal(g, variant, solver)}
+
+
+def two_point_instance(n, rng):
+    """A random interval model whose intervals each contain 10, 20 or both,
+    and its graph: two cliques, so the graph is cobipartite too.  An
+    interval holding one point reaches `reach` toward the other, so the
+    cliques meet through a one-point interval only when reach is 5 or more;
+    at most a tenth of the intervals hold both points."""
+    reach, both = rng.randint(0, 9), rng.choice((0.0, 0.1))
+    iv = []
+    for _ in range(n):
+        side = rng.random()
+        if side < both:
+            iv.append((rng.randint(0, 10), rng.randint(20, 30)))
+        elif side < (1 + both) / 2:
+            iv.append((rng.randint(0, 10), rng.randint(10, 10 + reach)))
+        else:
+            iv.append((rng.randint(20 - reach, 20), rng.randint(20, 30)))
+    model = IntervalModel(tuple(iv))
+    return intersection_graph(model), model
+
+
+def test_cobipartite_and_interval_routes_agree_on_two_clique_interval_graphs():
+    # above the oracle's cap, the two crdf routes check each other; a
+    # disconnected graph has no connected rdf, and both routes give none
+    rng = random.Random("two-point-cross-route")
+    found = disconnected = 0
+    for _ in range(24):
+        g, model = two_point_instance(rng.randint(8, 22), rng)
+        by_cliques = output_set(g, Variant.CRDF, CobipartiteSolver(g, Variant.CRDF))
+        assert output_set(g, Variant.CRDF, IntervalConnectedSolver(g, model)) == by_cliques
+        found += len(by_cliques)
+        if not is_connected(g):
+            assert by_cliques == set()
+            disconnected += 1
+    assert found > 0 and disconnected > 0
+
+
+def relabelled(values, perm):
+    """values, one per vertex, with vertex v's value moved to perm[v]."""
+    out = [None] * len(values)
+    for v, value in enumerate(values):
+        out[perm[v]] = value
+    return tuple(out)
+
+
+def stretched_model(model, rng):
+    """The model with its endpoints moved apart by an order-preserving map:
+    equal endpoints stay equal, so the graph stays the same."""
+    ends = sorted({x for interval in model.intervals for x in interval})
+    moved, at = {}, 0
+    for x in ends:
+        at += rng.randint(1, 5)
+        moved[x] = at
+    return IntervalModel(tuple((moved[lo], moved[hi]) for lo, hi in model.intervals))
+
+
+def test_output_sets_follow_a_relabelling_of_the_graph():
+    # above the oracle's cap: relabelling the graph (and its interval model)
+    # relabels every route's output set, and on the interval route a second
+    # model of the same graph, stretched or mirrored, gives the same set
+    rng = random.Random("relabel-routes")
+    for _ in range(4):
+        n = rng.randint(12, 16)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        general = random_graph(n, rng.uniform(0.3, 0.7), rng)
+        cobipartite, _ = random_cobipartite(n, rng.uniform(0.1, 0.5), rng)
+        interval, model = random_interval_instance(n, rng)
+        moved = IntervalModel(relabelled(model.intervals, perm))
+        runs = [
+            (general, Variant.RDF, "general"),
+            (general, Variant.MRDF, "general"),
+            (cobipartite, Variant.TRDF, "cobipartite"),
+            (cobipartite, Variant.CRDF, "cobipartite"),
+            (interval, Variant.CRDF, "interval"),
+        ]
+        for g, variant, route in runs:
+            want = output_set(g, variant, solver_for(g, variant, model, route))
+            h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            got = output_set(h, variant, solver_for(h, variant, moved, route))
+            assert got == {relabelled(f, perm) for f in want}
+        mirrored = IntervalModel(tuple((-hi, -lo) for lo, hi in model.intervals))
+        for other in (stretched_model(model, rng), mirrored):
+            assert output_set(interval, Variant.CRDF, IntervalConnectedSolver(interval, other)) == (
+                output_set(interval, Variant.CRDF, IntervalConnectedSolver(interval, model))
+            )
+
+
 # recorded before the engine learnt to skip invalid children, so a change of
 # output order on any engine route fails here
 ENGINE_ORDER_PINNED = "8a715b4ab0a815ae8da03bf9f9abe1db437ca86382be7ca7d3394e0eecb2e7a2"
@@ -235,14 +327,27 @@ def pinned_runs():
         yield f"interval {seed}", g, Variant.CRDF, IntervalConnectedSolver(g, model)
 
 
+class StreamOnly:
+    """A solver seen through its protocol alone: graph, variant and stream,
+    with no other attribute to fall back on."""
+
+    __slots__ = ("graph", "variant", "stream")
+
+    def __init__(self, solver):
+        self.graph = solver.graph
+        self.variant = solver.variant
+        self.stream = solver.stream
+
+
 def test_engine_output_order_is_pinned():
     # one digest over every route's ordered stream: a line per run, then a
-    # line per output with its 2-set mask and the formatted function
+    # line per output with its 2-set mask and the formatted function; the
+    # engine reaches each solver through stream alone
     digest = hashlib.sha256()
     outputs = 0
     for label, g, variant, solver in pinned_runs():
         digest.update(f"{label} {variant.value}\n".encode())
-        for a, f in iter_minimal(g, variant, solver):
+        for a, f in iter_minimal(g, variant, StreamOnly(solver)):
             digest.update(f"{a} {format_function(f)}\n".encode())
             outputs += 1
     assert outputs == 11922
@@ -269,8 +374,8 @@ def test_child_mask_is_exactly_the_valid_children():
 
 
 class Counted(FixedTwoSolver):
-    """Passes first and stream through, and records every 2-set asked for
-    that is not a valid 2-set."""
+    """Passes stream through, and records every 2-set asked for that is not
+    a valid 2-set."""
 
     def __init__(self, inner):
         super().__init__(inner.graph)
@@ -281,10 +386,6 @@ class Counted(FixedTwoSolver):
     def _check(self, a):
         if not valid_two_set(self.graph, a):
             self.invalid.append(a)
-
-    def first(self, a):
-        self._check(a)
-        return self.inner.first(a)
 
     def stream(self, a):
         self._check(a)

@@ -84,7 +84,7 @@ def stream_set(solver, a):
         assert len(out) <= bound(solver.graph.n)
     for f in out:
         assert two_mask(f) == a
-    first = solver.first(a)
+    first = next(solver.stream(a), None)
     assert (first is None) == (not out)
     if out:
         assert first in out
@@ -599,10 +599,10 @@ def test_nonempty_completions_are_downward_closed():
         n = solver.graph.n
         for _ in range(6):
             b = rng.getrandbits(n)
-            if solver.first(b) is None:
+            if next(solver.stream(b), None) is None:
                 continue
             for v in bits(b):
-                assert solver.first(b & ~bit(v)) is not None, (
+                assert next(solver.stream(b & ~bit(v)), None) is not None, (
                     f"nonempty at {b:b} but empty after dropping {v}"
                 )
 
@@ -662,7 +662,7 @@ def test_long_chain_first_output_is_fast():
     g, model, seed = double_link_chain(40)
     solver = IntervalConnectedSolver(g, model)
     t0 = time.perf_counter()
-    first = solver.first(seed)
+    first = next(solver.stream(seed), None)
     elapsed = time.perf_counter() - t0
     assert first is not None and two_mask(first) == seed
     assert elapsed < 1.0, f"first output took {elapsed:.2f}s"
@@ -689,7 +689,7 @@ def searches_to_first_output(monkeypatch, anchors):
     monkeypatch.setattr(graph_core, "_reach", counted)
     monkeypatch.setattr(fixed_two, "function_from_masks", built)
     g, model, seed = double_link_chain(anchors)
-    first = IntervalConnectedSolver(g, model).first(seed)
+    first = next(IntervalConnectedSolver(g, model).stream(seed), None)
     assert first is not None and two_mask(first) == seed
     return at_output[0]
 
