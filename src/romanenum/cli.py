@@ -53,7 +53,7 @@ def _read(path: Optional[str], missing: str) -> str:
     """The text of the file at path; `missing` says why one is needed."""
     if path is None:
         raise GraphFormatError(missing)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return fh.read()
 
 
@@ -107,19 +107,27 @@ def _make_solver(ns: argparse.Namespace, g: Graph):
     return solver_for(g, ns.variant, model=model, class_hint=ns.class_hint)
 
 
-def cmd_enumerate(ns: argparse.Namespace) -> int:
-    g = _load_graph(ns)
-    solver = _make_solver(ns, g)
+def _write_stream(ns: argparse.Namespace, stream, st: EnumerationStats, keys=None) -> None:
+    """Write the function of each (2-set, function) pair of the timed
+    stream, stopping at --limit, then close the stream, so that st holds
+    its final counts, and with --stats write st's lines (those of keys when
+    given)."""
     with _output(ns.output) as write:
-        st = EnumerationStats()
-        with closing(iter_minimal(g, ns.variant, solver, stats=st)) as stream:
-            for count, (_a, f) in enumerate(stream, start=1):
+        with closing(stream):
+            for _a, f in stream:
                 write(_function_line(f, ns.fmt))
-                if count == ns.limit:
+                if st.outputs == ns.limit:
                     break
         if ns.stats:
-            for key, value in st.as_dict().items():
-                write(f"# {key}={value}")
+            stats = st.as_dict()
+            for key in keys or stats:
+                write(f"# {key}={stats[key]}")
+
+
+def cmd_enumerate(ns: argparse.Namespace) -> int:
+    g = _load_graph(ns)
+    st = EnumerationStats()
+    _write_stream(ns, iter_minimal(g, ns.variant, _make_solver(ns, g), stats=st), st)
     return OK
 
 
@@ -127,18 +135,10 @@ def cmd_fixed_two(ns: argparse.Namespace) -> int:
     g = _load_graph(ns)
     a = parse_vertex_set(ns.two_set, g.n)
     solver = _make_solver(ns, g)
-    with _output(ns.output) as write:
-        # seconds is the solver's own time, as in enumerate: the writes are
-        # left out
-        st = EnumerationStats()
-        with closing(timed(solver.stream(a), st)) as stream:
-            for f in stream:
-                write(_function_line(f, ns.fmt))
-                if st.outputs == ns.limit:
-                    break
-        if ns.stats:
-            write(f"# outputs={st.outputs}")
-            write(f"# seconds={round(st.seconds, 6)}")
+    # seconds is the solver's own time, as in enumerate: the writes are left
+    # out; the other counters belong to the engine's walk
+    st = EnumerationStats()
+    _write_stream(ns, timed(((a, f) for f in solver.stream(a)), st), st, ("outputs", "seconds"))
     return OK if st.outputs else ERR_EMPTY
 
 
@@ -175,10 +175,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
     return OK if verdict else ERR_EMPTY
 
 
-def _cnf(ns: argparse.Namespace):
-    from .oracle import parse_dimacs
-
-    return parse_dimacs(_read(ns.cnf, "sat gadgets need --cnf FILE"))
+def _cnf(gadgets, ns: argparse.Namespace):
+    return gadgets.parse_dimacs(_read(ns.cnf, "sat gadgets need --cnf FILE"))
 
 
 def _extension(gadgets, ns: argparse.Namespace):
@@ -187,16 +185,14 @@ def _extension(gadgets, ns: argparse.Namespace):
 
 
 def _split(gadgets, ns: argparse.Namespace):
-    from .oracle import parse_hypergraph
-
     text = _read(ns.hypergraph, "split gadget needs --hypergraph FILE")
-    return gadgets.gadget_split_from_hypergraph(parse_hypergraph(text))
+    return gadgets.gadget_split_from_hypergraph(gadgets.parse_hypergraph(text))
 
 
 # gadget --kind: name -> builder(romanenum.gadgets, arguments) of its instance
 _GADGETS = {
-    "crdf-sat": lambda gadgets, ns: gadgets.gadget_crdf_from_sat(_cnf(ns), strict=ns.strict),
-    "trdf-sat": lambda gadgets, ns: gadgets.gadget_trdf_from_sat(_cnf(ns), strict=ns.strict),
+    "crdf-sat": lambda gadgets, ns: gadgets.gadget_crdf_from_sat(_cnf(gadgets, ns), strict=ns.strict),
+    "trdf-sat": lambda gadgets, ns: gadgets.gadget_trdf_from_sat(_cnf(gadgets, ns), strict=ns.strict),
     "mrdf-extension": _extension,
     "split-transversal": _split,
 }
@@ -282,7 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, variants=("rdf", "mrdf", "trdf", "crdf"), streams=True):
+    routed = tuple(dict.fromkeys(v.value for _, variants, _ in ROUTES for v in variants))
+    every = tuple(v.value for v in Variant)
+
+    def common(p, variants, streams=True):
         p.add_argument("--graph", required=False, help="graph file ('n m' header + edge lines)")
         p.add_argument("--variant", choices=variants, default="rdf")
         p.add_argument("--output", help="write results here instead of stdout")
@@ -297,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("fixed-two", "stream the completions of one 2-set"),
     ):
         p = sub.add_parser(name, help=blurb)
-        common(p)
+        common(p, routed)
         p.add_argument("--class", dest="class_hint", choices=classes, default="auto")
         p.add_argument(
             "--intervals",
@@ -309,13 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stats", action="store_true", help="append '# key=value' lines")
 
     p = sub.add_parser("oracle", help="exhaustive reference answers (small graphs)")
-    common(p, variants=("rdf", "mrdf", "trdf", "crdf", "prdf"))
+    common(p, every)
     p.add_argument("--two-set", help="restrict to functions whose 2-set is exactly this")
     p.add_argument("--cap", type=int, default=10, help="largest n the oracle will scan")
     p.add_argument("--stats", action="store_true")
 
     p = sub.add_parser("check", help="explain whether a function is (minimally) of a variant")
-    common(p, variants=("rdf", "mrdf", "trdf", "crdf", "prdf"), streams=False)
+    common(p, every, streams=False)
     p.add_argument("--function", required=True, help="digit string, e.g. 2002")
 
     p = sub.add_parser("gadget", help="build a reduction instance")

@@ -50,6 +50,7 @@ from .graphs import (
     intersection_graph,
     recognize_cobipartite,
     same_component,  # noqa: F401  (not called here; perfbench/tracer.py swaps this name)
+    union_of,
 )
 from .roman import (
     RomanFunction,
@@ -277,16 +278,6 @@ class WindowTables:
         return bool(kept[x] & ~window and kept[y] & ~window and kept[z] & ~window)
 
 
-def _relabel(mask: int, table) -> int:
-    """The OR of table[v] over the members v of mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= table[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 class IntervalConnectedSolver(FixedTwoSolver):
     """Connected completions on interval graphs with polynomial delay.
 
@@ -341,7 +332,7 @@ class IntervalConnectedSolver(FixedTwoSolver):
         self._position_bit = position_bit = [0] * g.n
         for p, v in enumerate(order):
             position_bit[v] = 1 << p
-        rows = [_relabel(g.adj[v], position_bit) for v in order]
+        rows = [union_of(position_bit, g.adj[v]) for v in order]
         # the components of g are runs of positions, and _run numbers them:
         # a component starts at each position with no earlier neighbor, as
         # every earlier interval then ends before that one starts, and no
@@ -355,7 +346,7 @@ class IntervalConnectedSolver(FixedTwoSolver):
 
     def stream(self, a: int) -> Iterator[RomanFunction]:
         h = self._graph
-        ctx = TwoSetContext(h, _relabel(a, self._position_bit), self.variant)
+        ctx = TwoSetContext(h, union_of(self._position_bit, a), self.variant)
         if not ctx.valid():
             return
         pos0 = ctx.pos0
@@ -363,7 +354,7 @@ class IntervalConnectedSolver(FixedTwoSolver):
         if pos0 and self._run[(pos0 & -pos0).bit_length() - 1] != self._run[pos0.bit_length() - 1]:
             return
         n, input_bit = h.n, self._input_bit
-        base = a | _relabel(pos0 & ~ctx.a, input_bit)
+        base = a | union_of(input_bit, pos0 & ~ctx.a)
         components = self._components(pos0)
         if len(components) < 2:  # no 0-vertex can be a cut vertex
             yield function_from_masks(n, a, base)

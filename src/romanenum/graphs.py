@@ -155,12 +155,19 @@ class IntervalModel:
 # ---------------------------------------------------------------- set algebra
 
 
+def union_of(table, mask: int) -> int:
+    """The OR of table[v] over the members v of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def closed_neighborhood(g: Graph, s: int) -> int:
     """N[s]: union of closed neighborhoods over the vertices of the mask."""
-    out = 0
-    for v in bits(s):
-        out |= g.cadj[v]
-    return out
+    return union_of(g.cadj, s)
 
 
 def is_dominating(g: Graph, s: int) -> bool:
@@ -171,10 +178,7 @@ def _reach(g: Graph, s: int, seed: int) -> int:
     reach = seed
     frontier = seed
     while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= s & ~reach
+        nxt = union_of(g.adj, frontier) & s & ~reach
         reach |= nxt
         frontier = nxt
     return reach

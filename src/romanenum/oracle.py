@@ -1,14 +1,12 @@
 """Exhaustive ground truth, independent of the enumeration machinery.
 
-This module keeps only what the `oracle` and `gadget` commands run: the full
-3^n scan over all functions (vectorized with numpy) behind `romanenum
-oracle`, and the hypergraph and CNF types and parsers behind `romanenum
-gadget`.  The scan exists to check the polynomial-delay algorithms, so it
-deliberately avoids their theory: variant membership is evaluated from the
-definitions and minimality by comparing holders pointwise.  The other
-brute-force references (hitting sets, SAT, dominating sets, the fixed-2-set
-slice and the extension oracle) only the tests call, so they live in
-tests/reference.py.
+This module is the full 3^n scan over all functions (vectorized with numpy)
+behind `romanenum oracle`, and nothing else.  The scan exists to check the
+polynomial-delay algorithms, so it deliberately avoids their theory: variant
+membership is evaluated from the definitions and minimality by comparing
+holders pointwise.  The other brute-force references (hitting sets, SAT,
+dominating sets, the fixed-2-set slice and the extension oracle) only the
+tests call, so they live in tests/reference.py.
 
 numpy is imported inside the functions that use it, so importing the
 package (and the command-line front end) does not load it.
@@ -16,9 +14,7 @@ package (and the command-line front end) does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, GraphFormatError, mask_of, read_counted
+from .graphs import Graph
 from .roman import Variant, two_mask
 
 DEFAULT_CAP = 10
@@ -169,125 +165,3 @@ def oracle_fixed_two(g: Graph, variant: Variant, a: int, cap: int = DEFAULT_CAP)
     tests/reference.py.
     """
     return {f for f in oracle_all_minimal(g, variant, cap=cap) if two_mask(f) == a}
-
-
-# ------------------------------------------------------------- hypergraphs
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Hypergraph on universe 0..universe-1 with edges as bitmasks."""
-
-    universe: int
-    edges: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.universe < 0:
-            raise ValueError(f"hypergraph vertex count {self.universe} is negative")
-        full = (1 << self.universe) - 1
-        for i, e in enumerate(self.edges):
-            if e == 0:
-                raise ValueError(f"hyperedge {i} is empty")
-            if e & ~full:
-                raise ValueError(f"hyperedge {i} leaves the universe")
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Text format: header "n m", then m lines listing each edge's members."""
-    (n, _), edges = read_counted(text, "hypergraph", "n m", "edge", None)
-    for members in edges:
-        if any(not 0 <= v < n for v in members):  # a negative v must not reach 1 << v
-            raise GraphFormatError(f"edge member out of range: {' '.join(map(str, members))}")
-    return Hypergraph(n, tuple(mask_of(members) for members in edges))
-
-
-# ------------------------------------------------------------------- SAT
-
-
-@dataclass(frozen=True)
-class CnfInstance:
-    """CNF with DIMACS-style signed 1-based literals."""
-
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for clause in self.clauses:
-            if not clause:
-                raise ValueError("empty clause")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
-
-    def validate_monotone(self, strict: bool = True):
-        """Check the clause shape the reductions rely on.
-
-        Always: every clause all-positive or all-negative with distinct
-        literals.  strict additionally demands exactly 3 literals per clause
-        and every variable occurring exactly twice positively and twice
-        negatively.
-        """
-        pos_count = [0] * (self.num_vars + 1)
-        neg_count = [0] * (self.num_vars + 1)
-        for clause in self.clauses:
-            if len(set(clause)) != len(clause):
-                raise ValueError(f"repeated literal in clause {clause}")
-            signs = {lit > 0 for lit in clause}
-            if len(signs) != 1:
-                raise ValueError(f"mixed clause {clause}")
-            if strict and len(clause) != 3:
-                raise ValueError(f"clause {clause} does not have 3 literals")
-            if not strict and len(clause) > 3:
-                raise ValueError(f"clause {clause} has more than 3 literals")
-            for lit in clause:
-                if lit > 0:
-                    pos_count[lit] += 1
-                else:
-                    neg_count[-lit] += 1
-        if strict:
-            for x in range(1, self.num_vars + 1):
-                if pos_count[x] != 2 or neg_count[x] != 2:
-                    raise ValueError(
-                        f"variable {x} occurs {pos_count[x]}+/{neg_count[x]}-, need 2/2"
-                    )
-
-
-def parse_dimacs(text: str) -> CnfInstance:
-    """DIMACS CNF: one problem line "p cnf <variables> <clauses>", then
-    0-terminated clauses; lines starting with "c" are comments."""
-    header = None
-    clauses = []
-    current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if header is not None:
-                raise ValueError(f"second problem line: {line}")
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ValueError(f"bad problem line: {line}")
-            try:
-                header = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ValueError(f"bad problem line: {line}") from None
-            continue
-        try:
-            literals = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: clause literals must be integers") from None
-        for lit in literals:
-            if lit == 0:
-                clauses.append(tuple(current))
-                current = []
-            else:
-                current.append(lit)
-    if header is None:
-        raise ValueError("missing problem line")
-    if current:
-        raise ValueError("last clause not terminated by 0")
-    num_vars, num_clauses = header
-    if len(clauses) != num_clauses:
-        raise ValueError(f"expected {num_clauses} clauses, found {len(clauses)}")
-    return CnfInstance(num_vars, tuple(clauses))

@@ -22,6 +22,7 @@ from itertools import combinations
 
 from romanenum.families import random_split_graph
 from romanenum.fixed_two import solver_for
+from romanenum.gadgets import CnfInstance, Hypergraph
 from romanenum.graphs import (
     CobipartitePartition,
     Graph,
@@ -38,8 +39,6 @@ from romanenum.graphs import (
 from romanenum.oracle import (
     DEFAULT_CAP,
     CapExceeded,
-    CnfInstance,
-    Hypergraph,
     _check_cap,
     _digit_tables,
     _minimal_scan,
@@ -367,6 +366,42 @@ def validate_interval_model(g: Graph, m: IntervalModel) -> bool:
 def path_interval_model(n: int) -> IntervalModel:
     """Unit intervals [i, i+1]; consecutive ones touch at the shared endpoint."""
     return IntervalModel(tuple((i, i + 1) for i in range(n)))
+
+
+def relabelled(values, perm):
+    """values, one per vertex, with vertex v's value moved to perm[v]."""
+    out = [None] * len(values)
+    for v, value in enumerate(values):
+        out[perm[v]] = value
+    return tuple(out)
+
+
+def stretched_model(model, rng):
+    """The model with its endpoints moved apart by an order-preserving map:
+    equal endpoints stay equal, so the graph stays the same."""
+    ends = sorted({x for interval in model.intervals for x in interval})
+    moved, at = {}, 0
+    for x in ends:
+        at += rng.randint(1, 5)
+        moved[x] = at
+    return IntervalModel(tuple((moved[lo], moved[hi]) for lo, hi in model.intervals))
+
+
+def nested_twins(model: IntervalModel, rng: random.Random) -> IntervalModel:
+    """A model of the same graph in which each group of equal intervals is
+    reordered: the endpoints are scaled apart, and the members of a group,
+    in a shuffled order, are widened by 0, 1, 2, ... at both ends, so they
+    nest and sort in that order."""
+    scale = 2 * len(model) + 1  # a widening of at most n - 1 meets no other endpoint
+    groups = {}
+    for v, interval in enumerate(model.intervals):
+        groups.setdefault(interval, []).append(v)
+    out = [None] * len(model)
+    for (lo, hi), members in groups.items():
+        rng.shuffle(members)
+        for k, v in enumerate(members):
+            out[v] = (lo * scale - k, hi * scale + k)
+    return IntervalModel(tuple(out))
 
 
 def interval_models(n: int):

@@ -31,13 +31,15 @@ from romanenum.fixed_two import (
     RdfSolver,
 )
 from romanenum.gadgets import (
+    CnfInstance,
+    Hypergraph,
     gadget_crdf_from_sat,
     gadget_maxrd_from_extds,
     gadget_split_from_hypergraph,
     gadget_trdf_from_sat,
 )
 from romanenum.graphs import Graph, is_connected, mask_of
-from romanenum.oracle import CnfInstance, Hypergraph, oracle_all_minimal, oracle_fixed_two
+from romanenum.oracle import oracle_all_minimal, oracle_fixed_two
 from romanenum.roman import (
     Variant,
     canonical_rdf,

@@ -205,39 +205,82 @@ def test_interval_route_output_is_byte_identical_on_gn_chains(capsys, tmp_path):
     assert got == GN_DIGESTS
 
 
+# runs the commands given as arguments, each ended by ";", then prints the
+# names of the modules loaded
 FOOTPRINT_SCRIPT = """
 import sys
 from romanenum.cli import main
-graph, tmp = sys.argv[1], sys.argv[2]
-main(["enumerate", "--graph", graph, "--variant", "mrdf", "--stats", "--output", tmp + "/enum.txt"])
-main(["fixed-two", "--graph", graph, "--two-set", "0", "--output", tmp + "/two.txt"])
+argv = sys.argv[1:]
+while argv:
+    end = argv.index(";")
+    main(argv[:end])
+    argv = argv[end + 1:]
 print("\\n".join(sorted(sys.modules)))
 """
 
+HYPERGRAPH_TEXT = "3 3\n0 1\n1 2\n0 2\n"
+CNF_TEXT = "p cnf 2 2\n1 2 0\n-1 -2 0\n"
 
-def test_enumerate_loads_only_what_it_runs(tmp_path, p4_file):
+# each run: its commands (given the P4 graph file and a directory holding
+# HYPERGRAPH_TEXT as h.hg and CNF_TEXT as f.cnf), the lines expected in a
+# slice of each file written, the module it must load, and the modules it
+# must not
+FOOTPRINTS = {
+    "enumerate": (
+        lambda graph, tmp: [
+            ["enumerate", "--graph", graph, "--variant", "mrdf", "--stats", "--output", tmp + "/enum.txt"],
+            ["fixed-two", "--graph", graph, "--two-set", "0", "--output", tmp + "/two.txt"],
+        ],
+        {"enum.txt": (slice(7), MRDF_P4_LINES), "two.txt": (slice(None), ["2011"])},
+        "romanenum.engine",
+        {
+            "romanenum.oracle",
+            "romanenum.gadgets",
+            "romanenum.families",
+            "dataclasses",
+            "inspect",
+            "json",
+            "numpy",
+        },
+    ),
+    "gadget-split-transversal": (
+        lambda graph, tmp: [
+            ["gadget", "--kind", "split-transversal", "--hypergraph", tmp + "/h.hg", "--output", tmp + "/split.txt"],
+        ],
+        {"split.txt": (slice(-1, None), ["# two_set=0"])},
+        "romanenum.gadgets",
+        {"romanenum.oracle", "numpy"},
+    ),
+    "gadget-crdf-sat": (
+        lambda graph, tmp: [
+            ["gadget", "--kind", "crdf-sat", "--cnf", tmp + "/f.cnf", "--output", tmp + "/sat.txt"],
+        ],
+        {"sat.txt": (slice(-1, None), ["# two_set=4,5,8"])},
+        "romanenum.gadgets",
+        {"romanenum.oracle", "numpy"},
+    ),
+}
+
+
+@pytest.mark.parametrize("run_name", list(FOOTPRINTS))
+def test_enumerate_loads_only_what_it_runs(run_name, tmp_path, p4_file):
     # a fresh interpreter, since this session has long since imported everything
+    commands, written, needed, unused = FOOTPRINTS[run_name]
+    (tmp_path / "h.hg").write_text(HYPERGRAPH_TEXT)
+    (tmp_path / "f.cnf").write_text(CNF_TEXT)
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT, p4_file, str(tmp_path)],
+        [sys.executable, "-c", FOOTPRINT_SCRIPT,
+         *(arg for argv in commands(p4_file, str(tmp_path)) for arg in (*argv, ";"))],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert (tmp_path / "enum.txt").read_text().splitlines()[:7] == MRDF_P4_LINES
-    assert (tmp_path / "two.txt").read_text().splitlines() == ["2011"]
+    for name, (lines, want) in written.items():
+        assert (tmp_path / name).read_text().splitlines()[lines] == want, name
     loaded = set(proc.stdout.split())
-    assert "romanenum.engine" in loaded
-    unused = {
-        "romanenum.oracle",
-        "romanenum.gadgets",
-        "romanenum.families",
-        "dataclasses",
-        "inspect",
-        "json",
-        "numpy",
-    }
+    assert needed in loaded
     assert loaded & unused == set()
 
 
@@ -546,6 +589,35 @@ def test_gadget_names_the_line_of_a_literal_that_is_not_an_integer(capsys, tmp_p
     assert code == 1
     assert out == []
     assert err == "error: line 2: clause literals must be integers\n"
+
+
+# one input file of each kind the front end reads, and the argv that reads
+# it (given the file and the P4 graph file)
+INPUT_KINDS = {
+    "graph": (P4_TEXT, lambda path, graph: ["enumerate", "--graph", path]),
+    "intervals": (
+        format_intervals(path_interval_model(4)),
+        lambda path, graph: [
+            "enumerate", "--graph", graph, "--variant", "crdf", "--class", "interval", "--intervals", path,
+        ],
+    ),
+    "hypergraph": (
+        HYPERGRAPH_TEXT,
+        lambda path, graph: ["gadget", "--kind", "split-transversal", "--hypergraph", path],
+    ),
+    "cnf": (CNF_TEXT, lambda path, graph: ["gadget", "--kind", "crdf-sat", "--cnf", path]),
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUT_KINDS))
+def test_a_leading_byte_order_mark_changes_nothing(kind, capsys, tmp_path, p4_file):
+    text, argv = INPUT_KINDS[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    first = run(capsys, argv(str(plain), p4_file))
+    assert first[0] == 0 and first[1] and first[2] == ""
+    assert run(capsys, argv(str(marked), p4_file)) == first
 
 
 # -------------------------------------------------------------------- gen

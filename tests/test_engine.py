@@ -35,7 +35,7 @@ from romanenum.roman import (
     valid_two_set,
 )
 
-from reference import path_interval_model
+from reference import path_interval_model, relabelled, stretched_model
 
 
 def run_instances(rng):
@@ -251,25 +251,6 @@ def test_cobipartite_and_interval_routes_agree_on_two_clique_interval_graphs():
             assert by_cliques == set()
             disconnected += 1
     assert found > 0 and disconnected > 0
-
-
-def relabelled(values, perm):
-    """values, one per vertex, with vertex v's value moved to perm[v]."""
-    out = [None] * len(values)
-    for v, value in enumerate(values):
-        out[perm[v]] = value
-    return tuple(out)
-
-
-def stretched_model(model, rng):
-    """The model with its endpoints moved apart by an order-preserving map:
-    equal endpoints stay equal, so the graph stays the same."""
-    ends = sorted({x for interval in model.intervals for x in interval})
-    moved, at = {}, 0
-    for x in ends:
-        at += rng.randint(1, 5)
-        moved[x] = at
-    return IntervalModel(tuple((moved[lo], moved[hi]) for lo, hi in model.intervals))
 
 
 def test_output_sets_follow_a_relabelling_of_the_graph():

@@ -12,14 +12,16 @@ import pytest
 
 from romanenum.families import complete_graph, path_graph, random_graph
 from romanenum.gadgets import (
+    CnfInstance,
     GadgetError,
+    Hypergraph,
     gadget_crdf_from_sat,
     gadget_maxrd_from_extds,
     gadget_split_from_hypergraph,
     gadget_trdf_from_sat,
 )
 from romanenum.graphs import Graph, bit, bits, mask_of
-from romanenum.oracle import CnfInstance, Hypergraph, oracle_fixed_two
+from romanenum.oracle import oracle_fixed_two
 from romanenum.roman import Variant
 
 from reference import (

@@ -28,7 +28,7 @@ from romanenum.graphs import (
 )
 from romanenum.cli import main
 from romanenum.families import complete_graph, cycle_graph, path_graph
-from romanenum.oracle import parse_hypergraph
+from romanenum.gadgets import parse_hypergraph
 
 from reference import (
     component_neighborhood,

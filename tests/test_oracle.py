@@ -11,16 +11,9 @@ from itertools import product
 import pytest
 
 from romanenum.families import complete_graph, path_graph, random_graph
+from romanenum.gadgets import CnfInstance, Hypergraph, parse_dimacs, parse_hypergraph
 from romanenum.graphs import Graph, GraphFormatError, bit, mask_of
-from romanenum.oracle import (
-    CapExceeded,
-    CnfInstance,
-    Hypergraph,
-    oracle_all_minimal,
-    oracle_fixed_two,
-    parse_dimacs,
-    parse_hypergraph,
-)
+from romanenum.oracle import CapExceeded, oracle_all_minimal, oracle_fixed_two
 from romanenum.roman import Variant, two_mask
 
 from reference import (
