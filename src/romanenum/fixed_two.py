@@ -166,12 +166,16 @@ class WindowTables:
         largest pass the end test, and every four consecutive members pass
         the middle test.
 
-    Each test combines a private-neighbor condition (the window must not
-    take up all private candidates of any 2-vertex) with three connectivity
-    probes on induced subgraphs: the window must connect its span, and
-    dropping either middle element must break it.  The roots s and t are
-    positive vertices of B whose intervals start first and end last; probes
-    from them detect whether X reaches the ends of the layout.
+    Each test is three connectivity probes on induced subgraphs: the window
+    must connect its span, and dropping either middle element must break
+    it.  The roots s and t are positive vertices of B whose intervals start
+    first and end last; probes from them detect whether X reaches the ends
+    of the layout.  A start or middle window must also pass the
+    private-neighbor condition (it must not take up all private candidates
+    of any 2-vertex).  The solver asks `keeping` as it takes each member,
+    so a window it keeps passes, and so does every window inside it.  The
+    end test needs no condition of its own: each window it sees is a start
+    window, or the last three of a middle window, that passed it.
 
     The probes are answered by neighborhood masks.  Write C_r(S) for the
     component of r in G[S + r] and N(C) for every vertex adjacent to C.  A
@@ -200,12 +204,11 @@ class WindowTables:
     exactly one of x, y lies in N_s, the 0-vertices next to s's component.
 
     The private candidates of the members of A are disjoint, so each vertex
-    has at most one owner in A, and a window can take up every private
-    candidate only of an owner of one of its members: the condition checks
-    those owners, in O(window), through a table that maps each vertex to
-    its owner's private candidates (_kept, which the interval solver also
-    reads directly for its raised sets below four and its start and middle
-    windows).
+    has at most one owner in A, and adding z to a window that passes can
+    take up every private candidate only of z's own owner: `keeping` tests
+    that owner, in O(1) per z, through a table that maps each vertex to its
+    owner's private candidates (_kept).  The interval solver's raised sets
+    below four pass the same condition.
 
     The private-neighbor condition of the middle test is kept although no
     instance is known where dropping it changes an output: an exhaustive
@@ -260,22 +263,29 @@ class WindowTables:
         return border[k] & ~near & ~border[j]
 
     def start_mask(self, x: int, y: int) -> int:
-        """Every z whose window (x, y, z) passes the start probes; the start
-        test is that bit and the private-neighbor condition."""
+        """Every z whose window (x, y, z) passes the start probes."""
         return self._needing_both(self.s, x, y)
 
     # middle_mask(w, x, y): every z whose window (w, x, y, z) passes the
-    # middle probes, which root at w itself; the middle test is that bit and
-    # the private-neighbor condition
+    # middle probes, which root at w itself
     middle_mask = _needing_both
 
     def end_ok(self, x: int, y: int, z: int) -> bool:
-        if not self._needing_both(self.t, y, z) >> x & 1:
-            return False
-        # the private-neighbor condition: no member's owner has all its
-        # private candidates in the window
-        kept, window = self._kept, 1 << x | 1 << y | 1 << z
-        return bool(kept[x] & ~window and kept[y] & ~window and kept[z] & ~window)
+        """Does the window (x, y, z) pass the end probes?"""
+        return bool(self._needing_both(self.t, y, z) >> x & 1)
+
+    def keeping(self, taken: int, zs: int) -> int:
+        """The z in zs whose window taken + z passes the private-neighbor
+        condition, for a window `taken` that passes it: z's owner keeps a
+        private candidate outside the window."""
+        kept = self._kept
+        keep = zs
+        while zs:
+            low = zs & -zs
+            zs ^= low
+            if not kept[low.bit_length() - 1] & ~taken & ~low:
+                keep ^= low
+        return keep
 
 
 class IntervalConnectedSolver(FixedTwoSolver):
@@ -365,43 +375,41 @@ class IntervalConnectedSolver(FixedTwoSolver):
         last = components[-1][0]
         tables = WindowTables(h, ctx, (pos0 & -pos0).bit_length() - 1,
                               (last & -last).bit_length() - 1, components)
-        border, kept = tables._border, tables._kept
+        border = tables._border
         near, far = components[0][1] & spare, components[-1][1] & spare
-        for x in bits(near & far):
-            if kept[x] & ~(1 << x):
-                yield function_from_masks(n, a, base | input_bit[x])
-        for x in bits(near & ~far):
-            for y in bits(far & ~near & border[x]):
-                window = 1 << x | 1 << y
-                if kept[x] & ~window and kept[y] & ~window:
-                    yield function_from_masks(n, a, base | input_bit[x] | input_bit[y])
+        for x in bits(tables.keeping(0, near & far)):
+            yield function_from_masks(n, a, base | input_bit[x])
+        for x in bits(tables.keeping(0, near & ~far)):
+            for y in bits(tables.keeping(1 << x, far & ~near & border[x])):
+                yield function_from_masks(n, a, base | input_bit[x] | input_bit[y])
         # start pairs in lexicographic order: each pair's mask gives every
         # third member at once, and a pair can have a nonzero mask only with
-        # exactly one member x or y in near and, if x is, y in border[x]
+        # exactly one member x or y in near and, if x is, y in border[x].
+        # Each window is kept as its members are taken, so pairs holds only
+        # windows that pass the private-neighbor condition
         pairs, ends = [], {}
-        xs = spare & (1 << near.bit_length()) - 1
+        xs = tables.keeping(0, spare & (1 << near.bit_length()) - 1)
         while xs:
             low_x = xs & -xs
             xs ^= low_x
             x = low_x.bit_length() - 1
             ys = (spare & ~near & border[x] if near & low_x else near) & -(low_x << 1)
+            ys = tables.keeping(low_x, ys)
             while ys:
                 low_y = ys & -ys
                 ys ^= low_y
                 y = low_y.bit_length() - 1
-                zs = tables.start_mask(x, y) & spare & -(low_y << 1)
+                zs = tables.keeping(low_x | low_y, tables.start_mask(x, y) & spare & -(low_y << 1))
                 if not zs:
                     continue
                 pairs.append((x, y, zs))
                 # a start triple is a completion if it passes the end test,
                 # which fails unless y or z is in far
                 for z in bits(zs if low_y & far else zs & far):
-                    window = low_x | low_y | 1 << z
-                    if kept[x] & ~window and kept[y] & ~window and kept[z] & ~window:
-                        ends[x, y, z] = sink = tables.end_ok(x, y, z)
-                        if sink:
-                            yield function_from_masks(
-                                n, a, base | input_bit[x] | input_bit[y] | input_bit[z])
+                    ends[x, y, z] = sink = tables.end_ok(x, y, z)
+                    if sink:
+                        yield function_from_masks(
+                            n, a, base | input_bit[x] | input_bit[y] | input_bit[z])
         if spare.bit_count() >= 4:
             yield from self._large_stream(a, base, spare, tables, pairs, ends)
 
@@ -432,25 +440,21 @@ class IntervalConnectedSolver(FixedTwoSolver):
     def _large_stream(self, a, base, spare, tables, pairs, ends) -> Iterator[RomanFunction]:
         """The DAG's paths from the start nodes of pairs, each (x, y, z mask)."""
         n, order, input_bit = self._graph.n, self.order, self._input_bit
-        kept = tables._kept
         tested: dict = {}
         dead = set()
 
         def expand(node):
             # (is node a sink, its successors), worked out once per node:
-            # the 0-vertices z after y in the middle mask whose window keeps
-            # a private candidate of each owner, as in WindowTables.end_ok
+            # the 0-vertices z after y in the middle mask whose window passes
+            # the private-neighbor condition
             w, x, y = node
-            taken = 1 << w | 1 << x | 1 << y
             after = []
             later = tables.middle_mask(w, x, y) & spare & -(2 << y)
+            later = tables.keeping(1 << w | 1 << x | 1 << y, later)
             while later:
                 low = later & -later
                 later ^= low
-                z = low.bit_length() - 1
-                window = taken | low
-                if kept[w] & ~window and kept[x] & ~window and kept[y] & ~window and kept[z] & ~window:
-                    after.append((x, y, z))
+                after.append((x, y, low.bit_length() - 1))
             sink = ends[node] if node in ends else tables.end_ok(w, x, y)
             got = tested[node] = (sink, after)
             return got
@@ -481,17 +485,9 @@ class IntervalConnectedSolver(FixedTwoSolver):
                             dead.add(node)
 
         for x, y, zs in pairs:
-            while zs:
-                low_z = zs & -zs
-                zs ^= low_z
-                z = low_z.bit_length() - 1
-                window = 1 << x | 1 << y | low_z
-                if (
-                    kept[x] & ~window and kept[y] & ~window and kept[z] & ~window
-                    and (x, y, z) not in dead
-                ):
-                    raised = base | input_bit[x] | input_bit[y] | input_bit[z]
-                    yield from walk((x, y, z), raised)
+            for z in bits(zs):
+                if (x, y, z) not in dead:
+                    yield from walk((x, y, z), base | input_bit[x] | input_bit[y] | input_bit[z])
 
 
 def _interval_solver(g: Graph, variant: Variant, model: Optional[IntervalModel]):

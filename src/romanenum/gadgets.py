@@ -115,7 +115,9 @@ class CnfInstance:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """DIMACS CNF: one problem line "p cnf <variables> <clauses>", then
-    0-terminated clauses; lines starting with "c" are comments."""
+    0-terminated clauses; lines starting with "c" are comments.  A line
+    starting with "%" ends the input, as in the SATLIB benchmark files,
+    which follow it with a lone "0"."""
     header = None
     clauses = []
     current: list[int] = []
@@ -123,6 +125,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if header is not None:
                 raise ValueError(f"second problem line: {line}")

@@ -191,6 +191,52 @@ def is_connected_set(g: Graph, s: int) -> bool:
     return _reach(g, s, s & -s) == s
 
 
+def cut_vertices(g: Graph, s: int) -> Optional[int]:
+    """The cut vertices of G[s] as a mask, or None when G[s] is not
+    connected (the empty set counts as connected).
+
+    One iterative depth-first search (Hopcroft and Tarjan).  A vertex's
+    next child is the low bit of its row less the vertices seen, so the
+    search takes O(|s|) mask steps, whatever the density.  Every edge out
+    of the subtree of a child c of v leads to an ancestor of c, so v is a
+    cut vertex iff, for some child c, the OR of the rows of c's subtree
+    misses the path above v; the root is one iff it has two children.
+    """
+    if not s:
+        return 0
+    adj = g.adj
+    v = root = s & -s
+    unseen = s ^ root
+    # v is the vertex searched, row its row and below the OR of the rows of
+    # its subtree so far; path holds the vertices above v, and the stack
+    # the same three for each of them
+    row = below = adj[root.bit_length() - 1]
+    path = 0
+    stack = []
+    cut = root_children = 0
+    while True:
+        nxt = row & unseen
+        if nxt:
+            stack.append((v, row, below))
+            path |= v
+            v = nxt & -nxt
+            unseen ^= v
+            row = below = adj[v.bit_length() - 1]
+        elif stack:
+            u, row, above = stack.pop()
+            path ^= u
+            if not path:
+                root_children += 1
+            elif not below & path:
+                cut |= u
+            v, below = u, above | below
+        else:
+            break
+    if unseen:
+        return None
+    return cut | root if root_children > 1 else cut
+
+
 def same_component(g: Graph, s: int, u: int, v: int) -> bool:
     """True iff u and v lie in one connected component of G[s]."""
     if not (s >> u & 1 and s >> v & 1):

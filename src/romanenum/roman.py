@@ -24,6 +24,7 @@ from .graphs import (
     bit,
     bits,
     closed_neighborhood,
+    cut_vertices,
     is_connected_set,
     is_dominating,
     mask_of,
@@ -188,9 +189,9 @@ class TwoSetContext:
                     needed |= nb
             return ones & ~needed
         if self.variant is Variant.CRDF:
-            if not is_connected_set(g, pos):
-                return None
-            return mask_of(v for v in bits(ones) if is_connected_set(g, pos & ~bit(v)))
+            # v can drop iff G[pos - v] stays connected: v is no cut vertex
+            cut = cut_vertices(g, pos)
+            return None if cut is None else ones & ~cut
         if self.variant is Variant.RDF:
             return ones
         raise ValueError(f"no minimality context for {self.variant}")
@@ -316,6 +317,6 @@ def minimality_report(g: Graph, f: RomanFunction, variant: Variant) -> tuple[boo
         lines.append(f"droppable 1-vertices: {list(bits(droppable))}")
     else:
         lines.append("no droppable 1-vertex: ok")
-    minimal = ctx.minimal(pos)
+    minimal = not bad_two and droppable == 0
     lines.append(f"minimal {variant.value}: {'YES' if minimal else 'NO'}")
     return minimal, lines

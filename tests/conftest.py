@@ -11,8 +11,8 @@ reads every completion off its window tables.  MrdfSolver and
 CobipartiteSolver filter their candidates with TwoSetContext.minimal
 itself, so there the check re-runs the solver's own filter, and only the
 oracle cross-checks grade them.  The solver's own stream stays reachable
-as the wrapper's __wrapped__, for a test whose outputs are too large to
-re-check one by one, or that counts the solver's own searches.
+as the wrapper's __wrapped__, for a test that counts the solver's own
+searches.
 """
 
 import pytest

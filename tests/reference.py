@@ -66,6 +66,17 @@ def open_neighborhood(g: Graph, s: int) -> int:
     return out
 
 
+def crdf_droppable_by_search(ctx: TwoSetContext, pos: int):
+    """The crdf droppable mask of TwoSetContext.droppable for a positive set
+    pos that is an rdf's, by one search of G[pos - v] per 1-vertex v next
+    to A: None when G[pos] is disconnected, else each v whose removal keeps
+    it connected."""
+    g = ctx.g
+    if not is_connected_set(g, pos):
+        return None
+    return mask_of(v for v in bits(pos & ~ctx.a & ctx.nbr) if is_connected_set(g, pos & ~bit(v)))
+
+
 def is_variant(g: Graph, f: RomanFunction, variant: Variant) -> bool:
     """Does f have the variant's property?  The definition read off the
     tuple, sharing no code with TwoSetContext."""
@@ -328,11 +339,14 @@ def small_completions(g: Graph, a: int) -> set:
 
 
 def keeps_private(tables, window) -> bool:
-    """The windows' private-neighbor condition as the interval solver reads
-    it off the tables' owner table: no member of the window has an owner in
-    A whose private candidates all lie in the window."""
-    taken = mask_of(window)
-    return all(tables._kept[u] & ~taken for u in window)
+    """The windows' private-neighbor condition as the interval solver asks
+    it: `keeping` for each member in turn on top of the ones before it."""
+    taken = 0
+    for u in window:
+        if not tables.keeping(taken, bit(u)):
+            return False
+        taken |= bit(u)
+    return True
 
 
 # ---------------------------------------------------------- graph classes
@@ -374,6 +388,26 @@ def relabelled(values, perm):
     for v, value in enumerate(values):
         out[perm[v]] = value
     return tuple(out)
+
+
+def two_point_instance(n: int, rng: random.Random) -> tuple[Graph, IntervalModel]:
+    """A random interval model whose intervals each contain 10, 20 or both,
+    and its graph: two cliques, so the graph is cobipartite too.  An
+    interval holding one point reaches `reach` toward the other, so the
+    cliques meet through a one-point interval only when reach is 5 or more;
+    at most a tenth of the intervals hold both points."""
+    reach, both = rng.randint(0, 9), rng.choice((0.0, 0.1))
+    iv = []
+    for _ in range(n):
+        side = rng.random()
+        if side < both:
+            iv.append((rng.randint(0, 10), rng.randint(20, 30)))
+        elif side < (1 + both) / 2:
+            iv.append((rng.randint(0, 10), rng.randint(10, 10 + reach)))
+        else:
+            iv.append((rng.randint(20 - reach, 20), rng.randint(20, 30)))
+    model = IntervalModel(tuple(iv))
+    return intersection_graph(model), model
 
 
 def stretched_model(model, rng):

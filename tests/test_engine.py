@@ -35,7 +35,7 @@ from romanenum.roman import (
     valid_two_set,
 )
 
-from reference import path_interval_model, relabelled, stretched_model
+from reference import path_interval_model, relabelled, stretched_model, two_point_instance
 
 
 def run_instances(rng):
@@ -215,26 +215,6 @@ def test_interval_route_on_paths_matches_oracle_through_engine():
 
 def output_set(g, variant, solver):
     return {f for _a, f in iter_minimal(g, variant, solver)}
-
-
-def two_point_instance(n, rng):
-    """A random interval model whose intervals each contain 10, 20 or both,
-    and its graph: two cliques, so the graph is cobipartite too.  An
-    interval holding one point reaches `reach` toward the other, so the
-    cliques meet through a one-point interval only when reach is 5 or more;
-    at most a tenth of the intervals hold both points."""
-    reach, both = rng.randint(0, 9), rng.choice((0.0, 0.1))
-    iv = []
-    for _ in range(n):
-        side = rng.random()
-        if side < both:
-            iv.append((rng.randint(0, 10), rng.randint(20, 30)))
-        elif side < (1 + both) / 2:
-            iv.append((rng.randint(0, 10), rng.randint(10, 10 + reach)))
-        else:
-            iv.append((rng.randint(20 - reach, 20), rng.randint(20, 30)))
-    model = IntervalModel(tuple(iv))
-    return intersection_graph(model), model
 
 
 def test_cobipartite_and_interval_routes_agree_on_two_clique_interval_graphs():

@@ -12,6 +12,7 @@ from romanenum.graphs import (
     bit,
     bits,
     closed_neighborhood,
+    cut_vertices,
     format_graph,
     format_intervals,
     format_vertex_set,
@@ -120,6 +121,30 @@ def test_connectivity_predicates():
     assert is_connected(p4)
     assert not is_connected(Graph(2, []))
     assert is_connected(Graph(1, []))
+
+
+def test_cut_vertices_are_the_vertices_whose_removal_disconnects():
+    # every vertex set of random graphs from sparse to complete: None iff
+    # G[s] is disconnected, else each v whose removal disconnects G[s]
+    rng = random.Random(0xC07)
+    seen = {"disconnected": 0, "cut": 0, "no cut": 0}
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        p = rng.choice((0.2, 0.4, 0.7, 1.0))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for s in range(1 << n):
+            got = cut_vertices(g, s)
+            if not is_connected_set(g, s):
+                assert got is None, (g.edges(), s)
+                seen["disconnected"] += 1
+                continue
+            want = mask_of(v for v in bits(s) if not is_connected_set(g, s & ~bit(v)))
+            assert got == want, (g.edges(), s)
+            seen["cut" if want else "no cut"] += 1
+    assert min(seen.values()) >= 2000, seen
+    # a long path: the search keeps its own stack, not Python's
+    path = path_graph(3000)
+    assert cut_vertices(path, path.full) == path.full & ~bit(0) & ~bit(2999)
 
 
 def test_component_neighborhood_is_what_joins_the_component():

@@ -304,6 +304,13 @@ def test_dimacs_validation_and_round_trip():
         parse_dimacs("c x\np cnf 2 1\n1 2.0 0\n")
     with pytest.raises(ValueError, match="second problem line"):
         parse_dimacs("p cnf 2 2\np cnf 3 2\n1 2 0\n-1 -2 0\n")
+    # the SATLIB layout: a "%" line ends the clauses, and what follows it
+    # (a lone "0" there) is not read
+    satlib = CnfInstance(2, ((1, 2), (-1, -2)))
+    assert parse_dimacs("p cnf 2 2\n 1 2 0\n-1 -2 0\n%\n0\n") == satlib
+    assert parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n% end\nnot read\n") == satlib
+    with pytest.raises(ValueError, match="^line 2: clause literals must be integers$"):
+        parse_dimacs("p cnf 2 2\n1 % 2 0\n-1 -2 0\n")
     with pytest.raises(ValueError):
         CnfInstance(1, ((),))
 

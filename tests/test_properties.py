@@ -1,6 +1,7 @@
 """Property tests: on every route, the engine's output set is the oracle's,
 and above the oracle's cap the interval route's completions do not depend on
-how the graph is labelled or its model laid out.
+how the graph is labelled or its model laid out, and on graphs that are both
+cobipartite and interval the two crdf routes complete each 2-set alike.
 
 Examples are drawn deterministically (derandomize=True), so the suite stays
 reproducible, and their number is bounded to keep it quick.
@@ -18,7 +19,7 @@ from romanenum.graphs import Graph, IntervalModel, bits, closed_neighborhood, in
 from romanenum.oracle import oracle_all_minimal
 from romanenum.roman import Variant, pos_mask
 
-from reference import is_variant, nested_twins, relabelled, stretched_model
+from reference import is_variant, nested_twins, relabelled, stretched_model, two_point_instance
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -116,3 +117,23 @@ def test_interval_completions_survive_relabelling_and_other_models_of_the_graph(
 
     check()
     assert max(most_raised) >= 4  # some example reached the window DAG
+
+
+def test_two_crdf_routes_complete_each_two_set_alike():
+    # two-point graphs of 16 to 30 intervals, above the oracle's cap: every
+    # interval holds 10 or 20, so the graph is two cliques and interval
+    # too, and for each drawn 2-set the cobipartite route and the interval
+    # route stream the same completions
+    found = []
+
+    @PROPERTY
+    @given(st.integers(16, 30), st.randoms(use_true_random=False), st.data())
+    def check(n, rng, data):
+        g, model = two_point_instance(n, rng)
+        a = mask_of(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)))
+        want = set(CobipartiteSolver(g, Variant.CRDF).stream(a))
+        assert set(IntervalConnectedSolver(g, model).stream(a)) == want, (model.intervals, a)
+        found.append(len(want))
+
+    check()
+    assert sum(map(bool, found)) >= 40 and max(found) >= 10, found

@@ -2,18 +2,22 @@
 
 import hashlib
 import random
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, islice, product
 
 import pytest
 
+from romanenum import graphs, roman
 from romanenum.families import (
     complete_graph,
     cycle_graph,
+    double_link_chain,
     path_graph,
     random_cobipartite,
     random_graph,
     random_interval_instance,
 )
+from romanenum.fixed_two import IntervalConnectedSolver
 from romanenum.graphs import Graph, bit, bits, mask_of
 from romanenum.oracle import oracle_all_minimal
 from romanenum.roman import (
@@ -33,6 +37,7 @@ from romanenum.roman import (
 
 from reference import (
     add_one,
+    crdf_droppable_by_search,
     exists_minimal_geq,
     extension_check,
     is_variant,
@@ -192,6 +197,66 @@ def test_droppable_is_the_definition():
     assert min(seen.values()) >= 1000, seen
 
 
+def test_crdf_droppable_matches_one_search_per_vertex():
+    # every valid A and every positive set pos >= pos0 of 400 random graphs
+    # with n <= 9: the one cut-vertex pass against a search of G[pos - v]
+    # per 1-vertex v, and the verdict that follows from each
+    rng = random.Random(0xC0D)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        g = random_graph(n, rng.uniform(0.1, 0.7), rng)
+        for a in range(1 << n):
+            ctx = TwoSetContext(g, a, Variant.CRDF)
+            if not ctx.valid():
+                continue
+            spare = raised = g.full & ~ctx.pos0
+            while True:
+                pos = ctx.pos0 | raised
+                want = crdf_droppable_by_search(ctx, pos)
+                assert ctx.droppable(pos) == want, (g.edges(), a, pos)
+                verdict = ctx.private_ok(pos) and want == 0
+                assert ctx.minimal(pos) == verdict, (g.edges(), a, pos)
+                seen["disconnected" if want is None else verdict] += 1
+                if not raised:
+                    break
+                raised = (raised - 1) & spare
+    assert sum(seen.values()) > 100_000 and min(seen.values()) >= 1000, seen
+
+
+def test_crdf_droppable_is_one_traversal(monkeypatch):
+    # one cut-vertex pass of G[pos] per crdf droppable call and no other
+    # search, on the first completions of a 300-anchor chain (898 vertices,
+    # 299 raised connectors) and on every rdf of small graphs
+    work = Counter()
+    cut_vertices, reach = roman.cut_vertices, graphs._reach
+
+    def counted_cut_vertices(*args):
+        work["cut_vertices"] += 1
+        return cut_vertices(*args)
+
+    def counted_reach(*args):
+        work["reach"] += 1
+        return reach(*args)
+
+    g, model, seed = double_link_chain(300)
+    first = list(islice(IntervalConnectedSolver(g, model).stream(seed), 8))
+    monkeypatch.setattr(roman, "cut_vertices", counted_cut_vertices)
+    monkeypatch.setattr(graphs, "_reach", counted_reach)
+    calls = 0
+    for f in first:
+        assert TwoSetContext(g, seed, Variant.CRDF).droppable(pos_mask(f)) == 0
+        calls += 1
+    for g in (path_graph(6), cycle_graph(6), complete_graph(5)):
+        for a in range(1 << g.n):
+            ctx = TwoSetContext(g, a, Variant.CRDF)
+            for pos in range(1 << g.n):
+                if pos & a == a and not g.full & ~pos & ~ctx.nbr:
+                    ctx.droppable(pos)
+                    calls += 1
+    assert work == {"cut_vertices": calls}, (dict(work), calls)
+
+
 def test_canonical_rdf_is_minimal_rdf_iff_valid():
     rng = random.Random(99)
     for _ in range(200):
@@ -322,6 +387,30 @@ def test_minimality_report_verdicts():
     assert not ok and any("NO" in ln for ln in lines)
     ok, lines = minimality_report(p4, (1, 1, 1, 1), Variant.PRDF)
     assert ok and lines
+
+
+def test_minimality_report_asks_droppable_once(monkeypatch):
+    # one droppable call per report that gets past the property, none for
+    # one that fails it, and the verdict is is_minimal_variant's
+    calls = []
+    droppable = TwoSetContext.droppable
+
+    def counted(self, pos):
+        calls.append(pos)
+        return droppable(self, pos)
+
+    g = cycle_graph(5)
+    reports = []
+    monkeypatch.setattr(TwoSetContext, "droppable", counted)
+    for variant in ALL_MINIMAL_VARIANTS:
+        for f in product(range(3), repeat=g.n):
+            calls.clear()
+            verdict, lines = minimality_report(g, f, variant)
+            assert len(calls) == (lines[-1] != f"minimal {variant.value}: NO (property fails)")
+            reports.append((f, variant, verdict))
+    monkeypatch.undo()
+    for f, variant, verdict in reports:
+        assert verdict == is_minimal_variant(g, f, variant), (f, variant)
 
 
 def report_digest(max_n):
